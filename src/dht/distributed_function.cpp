@@ -63,11 +63,7 @@ std::vector<std::size_t> DistributedFunction::apply_loads(
       const auto& disps = op.displacements(key.level());
       for (const auto& disp : disps) {
         mra::Key target;
-        if (key.neighbor(
-                std::span<const std::int64_t>{disp.data(), params_.ndim},
-                target)) {
-          ++loads[rank];
-        }
+        if (ops::apply_target(op, key, disp, target)) ++loads[rank];
       }
     }
   }
@@ -106,10 +102,7 @@ mra::Function distributed_apply(const ops::SeparatedConvolution& op,
     for (const auto& [key, coeffs] : f.map().shard(rank)) {
       for (const auto& disp : op.displacements(key.level())) {
         mra::Key target;
-        if (!key.neighbor(std::span<const std::int64_t>{disp.data(), d},
-                          target)) {
-          continue;
-        }
+        if (!ops::apply_target(op, key, disp, target)) continue;
         Tensor r =
             ops::apply_task_compute(op, coeffs, key.level(), disp, {}, &local);
         result.accumulate(rank, target, std::move(r), payload_bytes,

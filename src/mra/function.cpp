@@ -519,17 +519,32 @@ void Function::ensure_ancestors(const Key& key) {
   }
 }
 
-void Function::accumulate(const Key& key, const Tensor& delta) {
+FunctionNode& Function::accumulation_node(const Key& key,
+                                         const Tensor& delta) {
   MH_CHECK(!compressed_, "accumulate requires reconstructed form");
   MH_CHECK(delta.ndim() == params_.ndim && delta.dim(0) == params_.k,
            "delta shape mismatch");
   FunctionNode& node = nodes_[key];
+  ensure_ancestors(key);
+  return node;
+}
+
+void Function::accumulate(const Key& key, const Tensor& delta) {
+  FunctionNode& node = accumulation_node(key, delta);
   if (node.coeffs.empty()) {
     node.coeffs = delta;
   } else {
     node.coeffs += delta;
   }
-  ensure_ancestors(key);
+}
+
+void Function::accumulate(const Key& key, Tensor&& delta) {
+  FunctionNode& node = accumulation_node(key, delta);
+  if (node.coeffs.empty()) {
+    node.coeffs = std::move(delta);
+  } else {
+    node.coeffs += delta;
+  }
 }
 
 Tensor coeffs_on_box(const Function& f, const Key& box) {

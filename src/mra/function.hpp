@@ -112,6 +112,8 @@ class Function {
   /// any missing ancestors. Used by Apply's postprocess accumulation.
   /// Requires reconstructed form.
   void accumulate(const Key& key, const Tensor& delta);
+  /// As above; an empty leaf takes `delta`'s storage instead of a copy.
+  void accumulate(const Key& key, Tensor&& delta);
 
   /// Push scaling coefficients held at interior nodes down to the leaves
   /// (via the two-scale unfilter), restoring the leaf-only invariant after a
@@ -131,6 +133,7 @@ class Function {
   bool truncate_rec(const Key& key, double tol, TruncateMode mode);
   void sum_down_rec(const Key& key, const Tensor& inherited);
   void ensure_ancestors(const Key& key);
+  FunctionNode& accumulation_node(const Key& key, const Tensor& delta);
 
   FunctionParams params_;
   NodeMap nodes_;

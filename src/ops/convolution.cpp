@@ -103,6 +103,7 @@ SeparatedConvolution::SeparatedConvolution(Params params,
   MH_CHECK(params_.k >= 1, "basis size must be positive");
   MH_CHECK(!kernel_.terms.empty(), "kernel must have at least one term");
   MH_CHECK(params_.max_disp >= 1, "displacement cap must be positive");
+  for (const SeparatedTerm& term : kernel_.terms) coeffs_.push_back(term.coeff);
 }
 
 SeparatedConvolution::Entry& SeparatedConvolution::entry_locked(
@@ -189,7 +190,11 @@ std::size_t SeparatedConvolution::reduced_rank(std::size_t mu, int n,
                                                double tol) const {
   MH_CHECK(tol > 0.0, "rank tolerance must be positive");
   std::scoped_lock lock(mu_);
-  Entry& e = entry_locked(mu, n, m);
+  return reduced_rank_locked(entry_locked(mu, n, m), tol);
+}
+
+std::size_t SeparatedConvolution::reduced_rank_locked(Entry& e,
+                                                      double tol) const {
   const auto tolkey = static_cast<std::size_t>(-std::log10(tol) * 16.0);
   if (e.rank_cache != 0 && e.rank_cache_tolkey == tolkey) return e.rank_cache;
 
@@ -218,6 +223,45 @@ std::size_t SeparatedConvolution::reduced_rank(std::size_t mu, int n,
   e.rank_cache = r;
   e.rank_cache_tolkey = tolkey;
   return r;
+}
+
+std::span<const SeparatedConvolution::Operand>
+SeparatedConvolution::level_operands(int n, double rank_tol) const {
+  MH_CHECK(n >= 0 && n < kTableLevels, "level out of range");
+  std::atomic<const OperandTable*>& head =
+      table_heads_[static_cast<std::size_t>(n)];
+  const auto find = [&](std::memory_order order) -> const OperandTable* {
+    for (const OperandTable* t = head.load(order); t != nullptr; t = t->next) {
+      if (t->rank_tol == rank_tol) return t;
+    }
+    return nullptr;
+  };
+  if (const OperandTable* t = find(std::memory_order_acquire)) {
+    return t->operands;
+  }
+
+  std::scoped_lock lock(mu_);
+  // Another thread may have built it while this one waited for the lock.
+  if (const OperandTable* t = find(std::memory_order_relaxed)) {
+    return t->operands;
+  }
+  const std::int64_t cap = params_.max_disp;
+  auto table = std::make_unique<OperandTable>();
+  table->rank_tol = rank_tol;
+  table->operands.reserve(rank() * static_cast<std::size_t>(2 * cap + 1));
+  for (std::size_t mu = 0; mu < rank(); ++mu) {
+    for (std::int64_t m = -cap; m <= cap; ++m) {
+      Entry& e = entry_locked(mu, n, m);
+      table->operands.push_back(Operand{
+          MatrixView(*e.block),
+          rank_tol > 0.0 ? reduced_rank_locked(e, rank_tol) : params_.k});
+    }
+  }
+  table->next = head.load(std::memory_order_relaxed);
+  tables_.push_back(std::move(table));
+  const OperandTable* built = tables_.back().get();
+  head.store(built, std::memory_order_release);
+  return built->operands;
 }
 
 const std::vector<Displacement>& SeparatedConvolution::displacements(

@@ -10,19 +10,24 @@
 // The d-dimensional contribution of term mu is then the general transform of
 // the source tensor by the d per-dimension blocks (Formula 1). Blocks are
 // heavily reused across tasks, which is why the paper adds a write-once
-// software cache on the GPU mirroring the CPU-side one (§II-B).
+// software cache on the GPU mirroring the CPU-side one (§II-B). Apply's hot
+// path reads them through a dense per-level operand table that is built once
+// under the cache mutex and then read without locking.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ops/separated.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor/transform.hpp"
 
 namespace mh::ops {
 
@@ -94,6 +99,24 @@ class SeparatedConvolution {
   /// sorted by distance (m = 0 first). Cached per level.
   const std::vector<Displacement>& displacements(int n) const;
 
+  /// One operator block of a level's operand table and its contraction
+  /// rank (k unless the table was built for a rank tolerance).
+  struct Operand {
+    MatrixView block;
+    std::size_t rank = 0;
+  };
+
+  /// Apply's operands at level n: a dense table indexed
+  /// [mu * (2 * max_disp + 1) + m + max_disp] holding h_block(mu, n, m) and,
+  /// for rank_tol > 0, reduced_rank(mu, n, m, rank_tol). Built once per
+  /// (level, tolerance) under the cache mutex on first use; afterwards a
+  /// lock-free read. The views stay valid for the operator's lifetime (the
+  /// block cache is write-once and never evicts).
+  std::span<const Operand> level_operands(int n, double rank_tol) const;
+
+  /// The term coefficients c_mu as one contiguous span.
+  std::span<const double> term_coeffs() const noexcept { return coeffs_; }
+
   CacheStats cache_stats() const;
 
  private:
@@ -104,14 +127,29 @@ class SeparatedConvolution {
     std::size_t rank_cache = 0;
   };
   Entry& entry_locked(std::size_t mu, int n, std::int64_t m) const;
+  std::size_t reduced_rank_locked(Entry& e, double tol) const;
+
+  // One level's operand table for one rank tolerance (0: none). Tables of
+  // the same level form a write-once list whose head is published with
+  // release semantics, so readers walk it without the mutex.
+  struct OperandTable {
+    double rank_tol = 0.0;
+    std::vector<Operand> operands;
+    const OperandTable* next = nullptr;
+  };
+  static constexpr int kTableLevels = 64;
 
   Params params_;
   SeparatedKernel kernel_;
+  std::vector<double> coeffs_;
   mutable std::mutex mu_;
   mutable std::unordered_map<std::uint64_t, Entry> cache_;
   mutable std::unordered_map<std::uint64_t, std::shared_ptr<const Tensor>>
       ns_cache_;
   mutable std::unordered_map<int, std::vector<Displacement>> disp_cache_;
+  mutable std::vector<std::unique_ptr<OperandTable>> tables_;
+  mutable std::array<std::atomic<const OperandTable*>, kTableLevels>
+      table_heads_{};
   mutable CacheStats stats_;
 };
 

@@ -187,6 +187,10 @@ bool ThreadPool::is_worker_thread() const noexcept {
   return t_current_pool == this;
 }
 
+bool ThreadPool::on_worker_thread() noexcept {
+  return t_current_pool != nullptr;
+}
+
 void ThreadPool::wake_one() {
   // sleepers_ is incremented under mu_ before the predicate check, so
   // either the parking worker sees the new queued_ in its predicate or we

@@ -63,6 +63,9 @@ class ThreadPool {
   /// task exception, if any.
   void wait_idle();
 
+  /// True when the calling thread is a worker of any ThreadPool.
+  static bool on_worker_thread() noexcept;
+
   std::size_t size() const noexcept { return threads_.size(); }
   const std::string& name() const noexcept { return name_; }
   /// Total tasks completed (including ones that threw).

@@ -37,10 +37,7 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
       for (const auto& [key, coeffs] : f.map().shard(rank)) {
         for (const auto& disp : op.displacements(key.level())) {
           mra::Key target;
-          if (!key.neighbor(std::span<const std::int64_t>{disp.data(), d},
-                            target)) {
-            continue;
-          }
+          if (!ops::apply_target(op, key, disp, target)) continue;
           Tensor r = ops::apply_task_compute(op, coeffs, key.level(), disp,
                                              {}, &local);
           const std::size_t owner = owners.owner(target);

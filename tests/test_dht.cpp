@@ -13,6 +13,7 @@
 #include "dht/distributed_map.hpp"
 #include "dht/owner_map.hpp"
 #include "ops/apply.hpp"
+#include "ops/separated.hpp"
 
 namespace mh::dht {
 namespace {
@@ -292,6 +293,54 @@ TEST(DistributedFunction, SingleRankHasNoRemoteTraffic) {
   distributed_apply(op, df, nullptr, &comm);
   EXPECT_EQ(comm.messages, 0u);
   EXPECT_DOUBLE_EQ(comm.remote_fraction(), 0.0);
+}
+
+// A Gaussian hugging the left edge and a periodic operator: most of the
+// kernel's images wrap across x = 0, which a free-space neighbour lookup
+// would drop.
+mra::Function edge_gaussian() {
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-8;
+  p.initial_level = 4;
+  auto f_fn = [](std::span<const double> x) {
+    const double u = (x[0] - 0.08) / 0.05;
+    return std::exp(-u * u);
+  };
+  return mra::Function::project(f_fn, p);
+}
+
+ops::SeparatedConvolution periodic_operator() {
+  ops::SeparatedConvolution::Params p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-9;
+  p.max_disp = 24;
+  p.periodic = true;
+  return {p, ops::single_gaussian(0.05)};
+}
+
+TEST(DistributedFunction, PeriodicApplyMatchesSerial) {
+  const mra::Function f = edge_gaussian();
+  const ops::SeparatedConvolution op = periodic_operator();
+  const mra::Function serial = ops::apply(op, f);
+  const std::size_t tasks = ops::make_apply_tasks(op, f).size();
+
+  HashOwnerMap owners(4, 21);
+  DistributedFunction df(f, owners);
+  const auto loads = df.apply_loads(op);
+  EXPECT_EQ(std::accumulate(loads.begin(), loads.end(), std::size_t{0}),
+            tasks);
+  ops::ApplyStats stats;
+  const mra::Function dist = distributed_apply(op, df, &stats);
+  EXPECT_EQ(stats.tasks, tasks);
+  EXPECT_NEAR(dist.integral(), serial.integral(), 1e-12);
+  Rng rng(11);
+  for (int i = 0; i < 25; ++i) {
+    const double x[1] = {rng.next_double()};
+    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <ostream>
+#include <string>
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
@@ -12,6 +15,7 @@
 #include "ops/apply.hpp"
 #include "ops/convolution.hpp"
 #include "ops/separated.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/transform.hpp"
 
 namespace mh::ops {
@@ -496,6 +500,162 @@ TEST(Apply, RejectsCompressedInput) {
   f.compress();
   SeparatedConvolution op(op_params(1, 5, 1e-6, 4), single_gaussian(0.2));
   EXPECT_THROW(make_apply_tasks(op, f), Error);
+}
+
+TEST(Apply, RejectsDisplacementBeyondTheCap) {
+  SeparatedConvolution op(op_params(2, 4, 1e-6, 3), single_gaussian(0.2));
+  const Tensor source = Tensor::cube(2, 4);
+  EXPECT_NO_THROW(apply_task_compute(op, source, 3, Displacement{-3, 3}));
+  EXPECT_THROW(apply_task_compute(op, source, 3, Displacement{4, 0}), Error);
+  EXPECT_THROW(apply_task_compute(op, source, 3, Displacement{0, -4}), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Determinism: ops::apply runs tasks on many threads, yet its result must be
+// bitwise identical to the sequential definition of Apply — every task's
+// contribution accumulated into the output in task order.
+
+mra::Function sequential_apply(const SeparatedConvolution& op,
+                               const mra::Function& f,
+                               const ApplyOptions& opts, ApplyStats* stats) {
+  mra::Function out(f.params());
+  out.accumulate(mra::Key::root(f.ndim()), Tensor::cube(f.ndim(), f.k()));
+  for (const ApplyTask& task : make_apply_tasks(op, f)) {
+    const Tensor r = apply_task_compute(op, f.leaf_coeffs(task.source),
+                                        task.source.level(), task.disp, opts,
+                                        stats);
+    out.accumulate(task.target, r);
+  }
+  out.sum_down();
+  return out;
+}
+
+void expect_bitwise_equal(const mra::Function& a, const mra::Function& b) {
+  const std::vector<mra::Key> keys = a.leaf_keys();
+  ASSERT_EQ(keys, b.leaf_keys());
+  for (const mra::Key& key : keys) {
+    const Tensor& x = a.leaf_coeffs(key);
+    const Tensor& y = b.leaf_coeffs(key);
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0)
+        << "leaf at level " << key.level();
+  }
+}
+
+void expect_same_stats(const ApplyStats& a, const ApplyStats& b) {
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.gemms, b.gemms);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.rank_reduced_gemms, b.rank_reduced_gemms);
+}
+
+// Two narrow Gaussians in 3-D: leaves on levels 2 and 3, about 21k tasks
+// spread over a few hundred targets.
+mra::Function two_gaussians_3d() {
+  mra::FunctionParams fp;
+  fp.ndim = 3;
+  fp.k = 4;
+  fp.thresh = 3e-3;
+  fp.initial_level = 1;
+  fp.max_level = 4;
+  return mra::Function::project(
+      [](std::span<const double> x) {
+        const auto g = [&](double cx, double w) {
+          const double u = (x[0] - cx) / w;
+          const double v = (x[1] - 0.5) / w;
+          const double t = (x[2] - 0.5) / w;
+          return std::exp(-(u * u + v * v + t * t));
+        };
+        return g(0.4, 0.06) + 0.7 * g(0.62, 0.04);
+      },
+      fp);
+}
+
+SeparatedConvolution coulomb_3d(bool periodic) {
+  auto params = op_params(3, 4, 1e-3, 2);
+  params.periodic = periodic;
+  return {params, fit_coulomb(5e-2, 1e-3, 1.8)};
+}
+
+struct DeterminismCase {
+  const char* name;
+  bool periodic;
+  bool rank_reduce;
+};
+
+void PrintTo(const DeterminismCase& c, std::ostream* os) { *os << c.name; }
+
+class ApplyDeterminism : public ::testing::TestWithParam<DeterminismCase> {};
+
+TEST_P(ApplyDeterminism, MatchesSequentialRebuildBitwise) {
+  const DeterminismCase& c = GetParam();
+  const mra::Function f = two_gaussians_3d();
+  const SeparatedConvolution op = coulomb_3d(c.periodic);
+  ApplyOptions opts;
+  opts.rank_reduce = c.rank_reduce;
+  opts.rank_tol = c.rank_reduce ? 1e-4 : 0.0;
+
+  ApplyStats seq_stats;
+  const mra::Function seq = sequential_apply(op, f, opts, &seq_stats);
+  ApplyStats par_stats;
+  const mra::Function par = apply(op, f, opts, &par_stats);
+
+  ASSERT_GT(seq_stats.tasks, 10000u);
+  expect_bitwise_equal(par, seq);
+  expect_same_stats(par_stats, seq_stats);
+  if (c.rank_reduce) {
+    EXPECT_GT(par_stats.rank_reduced_gemms, 0u);
+  }
+
+  // A second call reproduces the first exactly.
+  ApplyStats again_stats;
+  const mra::Function again = apply(op, f, opts, &again_stats);
+  expect_bitwise_equal(again, par);
+  expect_same_stats(again_stats, par_stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Operators, ApplyDeterminism,
+    ::testing::Values(DeterminismCase{"free_space", false, false},
+                      DeterminismCase{"periodic", true, false},
+                      DeterminismCase{"rank_reduced", false, true}),
+    [](const ::testing::TestParamInfo<DeterminismCase>& p) {
+      return std::string(p.param.name);
+    });
+
+TEST(ApplyDeterminism, CallFromAPoolTaskRunsInlineWithoutDeadlock) {
+  const mra::Function f = two_gaussians_3d();
+  const SeparatedConvolution op = coulomb_3d(false);
+  const mra::Function outside = apply(op, f);
+
+  // Every worker of a small pool runs an Apply at once.
+  rt::ThreadPool pool(2);
+  std::vector<mra::Function> inside(4);
+  for (mra::Function& g : inside) {
+    pool.submit([&] { g = apply(op, f); });
+  }
+  pool.wait_idle();
+  for (const mra::Function& g : inside) expect_bitwise_equal(g, outside);
+}
+
+TEST(ApplyDeterminism, TaskErrorReachesTheCaller) {
+  // 64 level-6 leaves; one carries a malformed tensor, so whichever thread
+  // computes that leaf's tasks throws.
+  mra::FunctionParams fp;
+  fp.ndim = 1;
+  fp.k = 5;
+  std::vector<std::pair<mra::Key, Tensor>> leaves;
+  for (std::int64_t l = 0; l < 64; ++l) {
+    const std::int64_t t[1] = {l};
+    leaves.emplace_back(mra::Key(1, 6, t),
+                        l == 40 ? Tensor::cube(1, 3) : Tensor::cube(1, 5));
+  }
+  const mra::Function f = mra::Function::from_leaves(fp, leaves);
+  SeparatedConvolution op(op_params(1, 5, 1e-8, 4), single_gaussian(0.2));
+  EXPECT_THROW(apply(op, f), Error);
+  // The pool stays usable for the next call.
+  leaves[40].second = Tensor::cube(1, 5);
+  EXPECT_NO_THROW(apply(op, mra::Function::from_leaves(fp, leaves)));
 }
 
 }  // namespace

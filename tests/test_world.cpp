@@ -12,6 +12,7 @@
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "dht/distributed_function.hpp"
+#include "ops/separated.hpp"
 #include "world/world.hpp"
 #include "world/world_apply.hpp"
 #include "world/world_compress.hpp"
@@ -459,6 +460,52 @@ TEST(WorldApply, RejectsRankMismatch) {
   dht::DistributedFunction df(f, owners);
   World world(3);
   EXPECT_THROW(world_apply(world, op, df), Error);
+}
+
+// A Gaussian hugging the left edge and a periodic operator: most of the
+// kernel's images wrap across x = 0, which a free-space neighbour lookup
+// would drop.
+mra::Function edge_gaussian() {
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-8;
+  p.initial_level = 4;
+  auto f_fn = [](std::span<const double> x) {
+    const double u = (x[0] - 0.08) / 0.05;
+    return std::exp(-u * u);
+  };
+  return mra::Function::project(f_fn, p);
+}
+
+ops::SeparatedConvolution periodic_operator() {
+  ops::SeparatedConvolution::Params p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-9;
+  p.max_disp = 24;
+  p.periodic = true;
+  return {p, ops::single_gaussian(0.05)};
+}
+
+TEST(WorldApply, PeriodicMatchesSerialApply) {
+  const mra::Function f = edge_gaussian();
+  const ops::SeparatedConvolution op = periodic_operator();
+  const mra::Function serial = ops::apply(op, f);
+
+  dht::SubtreeOwnerMap owners(4, 2, 5);
+  dht::DistributedFunction df(f, owners);
+  World world(4);
+  ops::ApplyStats stats;
+  const mra::Function threaded = world_apply(world, op, df, &stats);
+
+  EXPECT_EQ(stats.tasks, ops::make_apply_tasks(op, f).size());
+  EXPECT_NEAR(threaded.integral(), serial.integral(), 1e-12);
+  Rng rng(82);
+  for (int i = 0; i < 25; ++i) {
+    const double x[1] = {rng.next_double()};
+    EXPECT_NEAR(threaded.eval(x), serial.eval(x), 1e-12);
+  }
 }
 
 }  // namespace
