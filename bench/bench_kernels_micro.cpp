@@ -7,6 +7,8 @@
 // Results are recorded through the shared bench harness (warmup + repeats,
 // median/p95/CoV); GFLOPS scalars are derived from the median. Wall-clock
 // numbers are machine-dependent, so nothing here gates CI.
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <iostream>
 #include <vector>
@@ -28,10 +30,14 @@ using namespace mh;
 using namespace mh::bench;
 
 // Repeat `body` enough times per sample that one sample is comfortably
-// above timer resolution, then record seconds-per-iteration.
+// above timer resolution, then record seconds-per-iteration. Bodies smaller
+// than one k=10 mTxm (20 kflop, e.g. the k=5 GEMM) repeat proportionally
+// more often.
 void record(Harness& h, TextTable& t, const std::string& name,
             double flops_per_iter, const std::function<void()>& body) {
-  const std::size_t inner = h.quick() ? 8 : 32;
+  const double scale = std::max(1.0, 2.0e4 / flops_per_iter);
+  const std::size_t inner =
+      (h.quick() ? 8 : 32) * static_cast<std::size_t>(scale);
   const SampleSummary s = h.measure(name, [&] {
     for (std::size_t i = 0; i < inner; ++i) body();
   });
@@ -54,11 +60,12 @@ int run(int argc, char** argv) {
   TextTable t({"kernel", "us/iter (p50)", "GFLOPS", "CoV"});
 
   // mTxm: the (k^2, k) x (k, k) GEMM pattern. mTxm routes through the
-  // packed batch-GEMM engine; the _ref rows time the legacy scalar kernel
-  // it replaced (kept as the bitwise reference), for context.
+  // packed batch-GEMM engine (k = 5 on the narrow tile, k >= 10 on the
+  // packed wide tile); the _ref rows time the legacy scalar kernel it
+  // replaced (kept as the bitwise reference), for context.
   for (const std::size_t k :
-       h.quick() ? std::vector<std::size_t>{10, 20}
-                 : std::vector<std::size_t>{10, 14, 20, 28}) {
+       h.quick() ? std::vector<std::size_t>{5, 10, 20}
+                 : std::vector<std::size_t>{5, 10, 14, 20, 28}) {
     const std::size_t rows = k * k;
     Rng rng(h.seed_or(1));
     std::vector<double> a(k * rows), b(k * k), c(rows * k, 0.0);
@@ -77,8 +84,7 @@ int run(int argc, char** argv) {
   // Batched whole-task fusion: a chunk of Apply tasks through one shared
   // workspace — the aggregated call the batching runtime's cpu_chunk path
   // issues per pool task.
-  for (const std::size_t k : h.quick() ? std::vector<std::size_t>{10, 20}
-                                       : std::vector<std::size_t>{10, 20}) {
+  for (const std::size_t k : {5, 10, 20}) {
     const std::size_t d = 3, terms = 8, nitems = 4;
     const std::size_t size = k * k * k;
     Rng rng(h.seed_or(3));
@@ -163,6 +169,11 @@ int run(int argc, char** argv) {
   // lock-free append, and — once the smallest ring fills — the chunk
   // recycle path too. The ratio gates the "<3% median overhead" promise of
   // always-on recording (the CI gate allows wall-clock jitter on top).
+  //
+  // One untimed warm-up pass of both sides first (a cold first sample read
+  // 0.64x), then interleaved off/on pairs whose order alternates: a shared
+  // host's slow drift (frequency scaling, cache state) lands in both halves
+  // of a pair and cancels in its ratio. The gate is the median pair ratio.
   {
     const std::size_t k = 10, rows = k * k;
     Rng rng(h.seed_or(5));
@@ -171,28 +182,54 @@ int run(int argc, char** argv) {
     for (auto& x : b) x = rng.uniform(-1.0, 1.0);
     const std::size_t per_span = 16;
     const std::size_t blocks = h.quick() ? 128 : 512;
-    const SampleSummary off = h.measure("mTxm_k10_recorder_off", [&] {
-      for (std::size_t blk = 0; blk < blocks; ++blk) {
-        for (std::size_t i = 0; i < per_span; ++i) {
-          linalg::mTxm(rows, k, k, c.data(), a.data(), b.data());
-        }
-      }
-    });
     obs::FlightRecorder rec({.path = "",
                              .spans_per_thread = 1024,
                              .install_as_current = false,
                              .dump_at_exit = false,
                              .dump_on_fault = false});
     obs::TraceSession& s = rec.session();
-    const SampleSummary on = h.measure("mTxm_k10_recorder_on", [&] {
+    const auto recorder_off = [&] {
+      for (std::size_t blk = 0; blk < blocks; ++blk) {
+        for (std::size_t i = 0; i < per_span; ++i) {
+          linalg::mTxm(rows, k, k, c.data(), a.data(), b.data());
+        }
+      }
+    };
+    const auto recorder_on = [&] {
       for (std::size_t blk = 0; blk < blocks; ++blk) {
         obs::ScopedSpan span(&s, "task", obs::Category::kCpuCompute);
         for (std::size_t i = 0; i < per_span; ++i) {
           linalg::mTxm(rows, k, k, c.data(), a.data(), b.data());
         }
       }
-    });
-    const double ratio = off.p50 > 0.0 ? on.p50 / off.p50 : 1.0;
+    };
+    const auto seconds = [](const auto& body) {
+      const auto t0 = std::chrono::steady_clock::now();
+      body();
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
+    recorder_off();
+    recorder_on();
+    const int pairs = std::max(h.repeats(), 5);
+    std::vector<double> off_s, on_s, pair_ratio;
+    for (int i = 0; i < pairs; ++i) {
+      double off = 0.0, on = 0.0;
+      if (i % 2 == 0) {
+        off = seconds(recorder_off);
+        on = seconds(recorder_on);
+      } else {
+        on = seconds(recorder_on);
+        off = seconds(recorder_off);
+      }
+      off_s.push_back(off);
+      on_s.push_back(on);
+      pair_ratio.push_back(off > 0.0 ? on / off : 1.0);
+    }
+    h.summary("mTxm_k10_recorder_off", off_s, "s");
+    h.summary("mTxm_k10_recorder_on", on_s, "s");
+    const double ratio = summarize(pair_ratio).p50;
     t.add_row({"flight_recorder_overhead", fmt(ratio, 4) + "x",
                fmt((ratio - 1.0) * 100.0, 2) + "%",
                fmt(static_cast<double>(s.dropped_spans()), 0) + " dropped"});

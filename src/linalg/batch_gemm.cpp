@@ -1,6 +1,6 @@
 // Portable half of the batched small-GEMM engine: workspace, packing,
-// same-order portable tile (used when AVX2 is absent), runtime kernel
-// dispatch, and the fused transform/apply chains. Compiled with
+// same-order portable wide and narrow tiles (used when AVX2 is absent),
+// runtime kernel dispatch, and the fused transform/apply chains. Compiled with
 // -ffp-contract=off so no path ever fuses multiply+add — the bitwise
 // contract with the scalar reference kernels in gemm.cpp.
 #include "linalg/batch_gemm.hpp"
@@ -76,27 +76,83 @@ void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
   }
 }
 
+// Portable mirror of the AVX2 narrow tile: a read in place along i, one
+// accumulator per (row, column) of an 8-row block (dimj <= 6) or 4-row
+// block, then single tail rows — identical per-element operation order.
+void mtxm_narrow_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                          double* c, const double* a, const double* b,
+                          StoreOp store, double alpha) {
+  const std::size_t block = dimj <= 6 ? 8 : 4;
+  for (std::size_t i0 = 0; i0 < dimi;) {
+    const std::size_t left = dimi - i0;
+    const std::size_t rows = left >= block ? block : (left >= 4 ? 4 : 1);
+    double acc[kNarrowMaxCols][8] = {};
+    for (std::size_t k = 0; k < kc; ++k) {
+      const double* ak = a + k * dimi + i0;
+      for (std::size_t j = 0; j < dimj; ++j) {
+        const double bkj = b[k * dimj + j];
+        for (std::size_t r = 0; r < rows; ++r) acc[j][r] += ak[r] * bkj;
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* cr = c + (i0 + r) * dimj;
+      for (std::size_t j = 0; j < dimj; ++j) {
+        switch (store) {
+          case StoreOp::kAdd: cr[j] += acc[j][r]; break;
+          case StoreOp::kAssign: cr[j] = acc[j][r]; break;
+          case StoreOp::kAxpy: cr[j] += alpha * acc[j][r]; break;
+        }
+      }
+    }
+    i0 += rows;
+  }
+}
+
 }  // namespace detail
 
 namespace {
 
-detail::MTxmKernelFn pick_kernel() noexcept {
+using detail::StoreOp;
+
+struct Kernels {
+  detail::MTxmKernelFn wide;
+  detail::NarrowKernelFn narrow;
+};
+
+Kernels pick_kernels() noexcept {
 #if defined(MH_LINALG_HAVE_AVX2_TU)
-  if (__builtin_cpu_supports("avx2")) return detail::mtxm_avx2;
+  if (__builtin_cpu_supports("avx2"))
+    return {detail::mtxm_avx2, detail::mtxm_narrow_avx2};
 #endif
-  return detail::mtxm_portable;
+  return {detail::mtxm_portable, detail::mtxm_narrow_portable};
 }
 
-detail::MTxmKernelFn g_kernel = pick_kernel();
+const Kernels g_kernels = pick_kernels();
+
+bool narrow_tile(std::size_t dimj) noexcept {
+  return dimj <= detail::kNarrowMaxCols;
+}
 
 // Central packed-GEMM call: every engine entry point funnels through here.
+// The tile is chosen by shape: a c at most kNarrowMaxCols wide takes the
+// narrow tile (no packing, every StoreOp); a wider c takes the packed wide
+// tile, which only accumulates, so kAssign zeroes c first and kAxpy is not
+// available.
 void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
-                const double* a, const double* b, GemmWorkspace& ws) {
+                const double* a, const double* b, GemmWorkspace& ws,
+                StoreOp store = StoreOp::kAdd, double alpha = 1.0) {
   if (dimi == 0 || dimj == 0) return;
-  double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
-  g_kernel(dimi, dimj, kc, c, a, b, apack);
   BatchGemmStats& st = ws.stats();
   st.packed_gemms += 1;
+  if (narrow_tile(dimj)) {
+    g_kernels.narrow(dimi, dimj, kc, c, a, b, store, alpha);
+    return;
+  }
+  MH_CHECK(store != StoreOp::kAxpy, "the wide tile has no kAxpy store");
+  if (store == StoreOp::kAssign)
+    std::memset(c, 0, dimi * dimj * sizeof(double));
+  double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
+  g_kernels.wide(dimi, dimj, kc, c, a, b, apack);
   st.packed_doubles += ((dimi + 3) / 4) * 4 * kc;
 }
 
@@ -128,7 +184,7 @@ GemmWorkspace& thread_workspace() {
 
 bool packed_kernels_use_avx2() noexcept {
 #if defined(MH_LINALG_HAVE_AVX2_TU)
-  return g_kernel == detail::mtxm_avx2;
+  return g_kernels.wide == detail::mtxm_avx2;
 #else
   return false;
 #endif
@@ -182,8 +238,8 @@ void fused_transform_chain(std::span<const std::size_t> shape,
     const std::size_t rest = cursize / rows;
     const std::size_t osize = rest * cols;
     double* dst = (m + 1 == n) ? out : (m % 2 == 0 ? ping : pong);
-    std::memset(dst, 0, osize * sizeof(double));
-    run_packed(rest, cols, std::min(kred, rows), dst, cur, mats[m].ptr, ws);
+    run_packed(rest, cols, std::min(kred, rows), dst, cur, mats[m].ptr, ws,
+               StoreOp::kAssign);
     cur = dst;
     cursize = osize;
   }
@@ -202,25 +258,36 @@ void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
   std::size_t size = 1;
   for (std::size_t m = 0; m < d; ++m) size *= k;
   const std::size_t rest = size / k;
-  double* ping = ws.ping(size);
-  double* pong = d > 1 ? ws.pong(size) : nullptr;
+  // On the narrow tile the last mode stores result += coeff * acc itself
+  // (StoreOp::kAxpy), so only d - 1 intermediates need a buffer. kAssign
+  // and kAxpy are bitwise equal to zeroing a buffer, adding into it and
+  // then the gaxpy below (see StoreOp).
+  const bool fold = narrow_tile(k);
+  const std::size_t buffered = fold ? d - 1 : d;
+  double* ping = buffered > 0 ? ws.ping(size) : nullptr;
+  double* pong = buffered > 1 ? ws.pong(size) : nullptr;
   for (std::size_t mu = 0; mu < terms; ++mu) {
     const std::size_t kc =
         kreds.empty() ? k : std::min(kreds[mu], k);
+    const double cmu = coeffs[mu];
     const double* cur = src;
     for (std::size_t m = 0; m < d; ++m) {
       const GemmMat& h = mats[mu * d + m];
       MH_CHECK(h.rows == k && h.cols == k, "apply blocks must be (k, k)");
-      double* dst = (m % 2 == 0) ? ping : pong;
-      std::memset(dst, 0, size * sizeof(double));
-      run_packed(rest, k, kc, dst, cur, h.ptr, ws);
-      cur = dst;
+      if (m < buffered) {
+        double* dst = (m % 2 == 0) ? ping : pong;
+        run_packed(rest, k, kc, dst, cur, h.ptr, ws, StoreOp::kAssign);
+        cur = dst;
+      } else {
+        run_packed(rest, k, kc, result, cur, h.ptr, ws, StoreOp::kAxpy, cmu);
+      }
     }
     // Same expression Tensor::gaxpy(1.0, contrib, coeff) evaluates per
     // element; with contraction off this is one mul + one add, bitwise
-    // equal to the composed path.
-    const double cmu = coeffs[mu];
-    for (std::size_t i = 0; i < size; ++i) result[i] += cmu * cur[i];
+    // equal to the composed path — and to the kAxpy store above.
+    if (!fold) {
+      for (std::size_t i = 0; i < size; ++i) result[i] += cmu * cur[i];
+    }
   }
   ws.stats().fused_chains += 1;
 }

@@ -1,26 +1,36 @@
 // Batched small-GEMM compute engine — the CPU half of the paper's fused
 // Apply kernel (§II-C), built for the (k^{d-1}, k) x (k, k) shapes of
-// Formula 1 with k in the 10-30 range.
+// Formula 1 at every k the library runs, small (k <= 8) and large
+// (k = 10-30).
 //
 // The legacy path ran every multiplication through the scalar register-tiled
 // mTxm in gemm.cpp: no packing, no SIMD, one heap-allocated temporary per
 // mode, and M * d independent calls per Apply task. This engine instead
-//   - packs the strided A operand (the transposed tensor walk of mTxm) into
-//     aligned, cache-resident 4-wide panels once per tile,
-//   - runs explicit 4 x 8 register-tile microkernels over the packed panels
-//     (AVX2 on x86-64 when the CPU has it, a same-order portable tile
-//     otherwise), with k-specialized dispatch for the paper's common k so
-//     the contraction loop is fully unrolled,
-//   - fuses the whole M * d transform chain of one Apply task into a single
-//     packed pass over two ping-pong workspace buffers — zero allocations
-//     after warm-up — instead of M * d mTxm calls with fresh temporaries.
+// picks a register tile by the width of c:
+//   - narrow (c at most 8 columns wide, i.e. k <= 8): vectorised along the
+//     contiguous dimension of a, which is read in place with no packing,
+//     with one accumulator per column of c (8-row blocks up to 6 columns,
+//     4-row blocks for 7-8) and a transposed write-back;
+//   - wide (more than 8 columns): packs the strided A operand (the
+//     transposed tensor walk of mTxm) into aligned, cache-resident 4-wide
+//     panels once per tile and runs 4 x 8 register-tile microkernels over
+//     them, with k-specialized dispatch for the paper's common k so the
+//     contraction loop is fully unrolled.
+// Both run AVX2 on x86-64 when the CPU has it and a same-order portable
+// tile otherwise. The whole M * d transform chain of one Apply task is
+// fused into a single pass over two ping-pong workspace buffers — zero
+// allocations after warm-up — instead of M * d mTxm calls with fresh
+// temporaries. On the narrow tile the chain also skips zeroing: the
+// intermediate modes store their accumulators directly, and the last mode
+// stores result += coeff * acc itself.
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
 // (zeroed accumulator, ascending-k multiply-then-add, one final add into c).
 // No FMA contraction is used on any path (the TUs compile with
 // -ffp-contract=off), so packed, portable, and reference results agree
-// BITWISE — tests assert equality, not tolerance.
+// BITWISE — tests assert equality, not tolerance. (A direct store of an
+// accumulator equals 0.0 + acc bit for bit; see batch_gemm_kernels.hpp.)
 //
 // Thread model: kernels are stateless; all scratch lives in a GemmWorkspace.
 // One workspace per thread (thread_workspace()) makes every pool worker
@@ -46,9 +56,10 @@ struct GemmMat {
 
 /// Counters the engine accumulates per workspace (cheap, thread-local).
 struct BatchGemmStats {
-  std::size_t packed_gemms = 0;   ///< microkernel GEMMs executed
+  std::size_t packed_gemms = 0;   ///< microkernel GEMMs executed (both tiles)
   std::size_t fused_chains = 0;   ///< whole-task fused passes
   std::size_t packed_doubles = 0; ///< doubles staged through pack buffers
+                                  ///< (the narrow tile packs none)
 };
 
 /// Grow-only aligned scratch arena for packed panels and fused-chain
@@ -86,8 +97,9 @@ class GemmWorkspace {
 /// The calling thread's workspace (thread-local, constructed on first use).
 GemmWorkspace& thread_workspace();
 
-/// True when the packed kernels run the AVX2 microkernel on this CPU
-/// (x86-64 with AVX2); false means the same-order portable tile.
+/// True when the packed kernels run the AVX2 microkernels (wide and narrow)
+/// on this CPU (x86-64 with AVX2); false means the same-order portable
+/// tiles.
 bool packed_kernels_use_avx2() noexcept;
 
 /// Packed mTxm: c(dimi,dimj) += a(dimk,dimi)^T * b(dimk,dimj), all

@@ -2,17 +2,26 @@
 // with -mavx2 -ffp-contract=off (see src/linalg/CMakeLists.txt) and only on
 // x86-64; batch_gemm.cpp selects it at runtime when the CPU reports AVX2.
 //
-// Structure: 4-wide i-panels of a are packed k-major into `apack` (tail
-// panels zero-padded so the microkernel shape never changes), then 4x8 and
-// 4x4 register tiles walk contiguous rows of b. Only _mm256_mul_pd +
-// _mm256_add_pd are used — never FMA — and each output element sees exactly
-// the reference operation order (zeroed accumulator, ascending k, one final
-// add into c), so results are bitwise-identical to mTxm_ref.
-//
-// The k-specialized dispatch below fully unrolls the contraction loop for
-// the paper's common polynomial orders (k = 10..30): with k known at
-// compile time GCC keeps the whole 4x8 tile (8 accumulators + 2 b-loads +
-// 1 broadcast = 11 ymm) live in registers with no loop overhead.
+// Two tile families, chosen by the width dimj of c:
+//   - wide (dimj > 8): 4-wide i-panels of a are packed k-major into
+//     `apack` (tail panels zero-padded so the microkernel shape never
+//     changes), then 4 x 8 and 4 x 4 register tiles walk contiguous rows
+//     of b. The k-specialized dispatch fully unrolls the contraction loop
+//     for the paper's common polynomial orders (k = 10..30): with k known
+//     at compile time GCC keeps the whole 4 x 8 tile (8 accumulators +
+//     2 b-loads + 1 broadcast = 11 ymm) live in registers.
+//   - narrow (dimj <= 8, the k = 1..8 Apply shapes): vectorised along i,
+//     the contiguous dimension of a, so a is loaded in place (no packing)
+//     and each b(k, j) is broadcast. One accumulator per column of c:
+//     8-row blocks (2 * dimj accumulators) for dimj <= 6, 4-row blocks for
+//     dimj = 7..8, so the tile fits the 16 ymm registers; a 4-row block
+//     and then single rows (vectorised along j) take the tail. Block
+//     accumulators are transposed in registers and written back into
+//     row-major c.
+// Only _mm256_mul_pd + _mm256_add_pd are used — never FMA — and each
+// output element sees exactly the reference operation order (zeroed
+// accumulator, ascending k, one final store), so results are
+// bitwise-identical to mTxm_ref.
 #include "linalg/batch_gemm_kernels.hpp"
 
 #if defined(MH_LINALG_HAVE_AVX2_TU)
@@ -20,6 +29,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <utility>
 
 namespace mh::linalg::detail {
 namespace {
@@ -155,6 +165,185 @@ void mtxm_impl(std::size_t dimi, std::size_t dimj, std::size_t kc_rt,
   }
 }
 
+
+// ---- narrow tile (dimj <= kNarrowMaxCols) --------------------------------
+
+// Calls f(integral_constant<int, 0>) ... f(integral_constant<int, N-1>):
+// the tile loops over columns are unrolled at every optimisation level, so
+// the accumulator arrays below are always register-allocated.
+template <int N, typename F>
+[[gnu::always_inline]] inline void static_for(F&& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+template <StoreOp S>
+[[gnu::always_inline]] inline void put4(double* p, __m256d v,
+                                        __m256d alpha) {
+  if constexpr (S == StoreOp::kAssign) {
+    _mm256_storeu_pd(p, v);
+  } else if constexpr (S == StoreOp::kAdd) {
+    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), v));
+  } else {
+    _mm256_storeu_pd(
+        p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(alpha, v)));
+  }
+}
+
+template <StoreOp S>
+[[gnu::always_inline]] inline void put2(double* p, __m128d v, __m128d alpha) {
+  if constexpr (S == StoreOp::kAssign) {
+    _mm_storeu_pd(p, v);
+  } else if constexpr (S == StoreOp::kAdd) {
+    _mm_storeu_pd(p, _mm_add_pd(_mm_loadu_pd(p), v));
+  } else {
+    _mm_storeu_pd(p, _mm_add_pd(_mm_loadu_pd(p), _mm_mul_pd(alpha, v)));
+  }
+}
+
+// Low lane of v.
+template <StoreOp S>
+[[gnu::always_inline]] inline void put1(double* p, __m128d v, __m128d alpha) {
+  if constexpr (S == StoreOp::kAssign) {
+    _mm_store_sd(p, v);
+  } else if constexpr (S == StoreOp::kAdd) {
+    _mm_store_sd(p, _mm_add_sd(_mm_load_sd(p), v));
+  } else {
+    _mm_store_sd(p, _mm_add_sd(_mm_load_sd(p), _mm_mul_sd(alpha, v)));
+  }
+}
+
+// Writes a 4-row group back into row-major c (row stride J): v[j] holds
+// rows 0..3 of column j. Columns go in register-transposed groups of four,
+// then a pair, then a single column.
+template <int J, StoreOp S>
+[[gnu::always_inline]] inline void store_rows4(double* c,
+                                               const __m256d (&v)[J],
+                                               __m256d alpha) {
+  [[maybe_unused]] const __m128d alpha2 = _mm256_castpd256_pd128(alpha);
+  static_for<J / 4>([&](auto q) {
+    constexpr int j = 4 * decltype(q)::value;
+    const __m256d t0 = _mm256_unpacklo_pd(v[j], v[j + 1]);
+    const __m256d t1 = _mm256_unpackhi_pd(v[j], v[j + 1]);
+    const __m256d t2 = _mm256_unpacklo_pd(v[j + 2], v[j + 3]);
+    const __m256d t3 = _mm256_unpackhi_pd(v[j + 2], v[j + 3]);
+    put4<S>(c + j, _mm256_permute2f128_pd(t0, t2, 0x20), alpha);
+    put4<S>(c + J + j, _mm256_permute2f128_pd(t1, t3, 0x20), alpha);
+    put4<S>(c + 2 * J + j, _mm256_permute2f128_pd(t0, t2, 0x31), alpha);
+    put4<S>(c + 3 * J + j, _mm256_permute2f128_pd(t1, t3, 0x31), alpha);
+  });
+  constexpr int jp = J / 4 * 4;
+  if constexpr (J - jp >= 2) {
+    const __m256d lo = _mm256_unpacklo_pd(v[jp], v[jp + 1]);  // rows 0, 2
+    const __m256d hi = _mm256_unpackhi_pd(v[jp], v[jp + 1]);  // rows 1, 3
+    put2<S>(c + jp, _mm256_castpd256_pd128(lo), alpha2);
+    put2<S>(c + J + jp, _mm256_castpd256_pd128(hi), alpha2);
+    put2<S>(c + 2 * J + jp, _mm256_extractf128_pd(lo, 1), alpha2);
+    put2<S>(c + 3 * J + jp, _mm256_extractf128_pd(hi, 1), alpha2);
+  }
+  if constexpr ((J - jp) % 2 == 1) {
+    constexpr int j = J - 1;
+    const __m128d r01 = _mm256_castpd256_pd128(v[j]);
+    const __m128d r23 = _mm256_extractf128_pd(v[j], 1);
+    put1<S>(c + j, r01, alpha2);
+    put1<S>(c + J + j, _mm_unpackhi_pd(r01, r01), alpha2);
+    put1<S>(c + 2 * J + j, r23, alpha2);
+    put1<S>(c + 3 * J + j, _mm_unpackhi_pd(r23, r23), alpha2);
+  }
+}
+
+template <int J, StoreOp S>
+void narrow_impl(std::size_t dimi, std::size_t kc, double* c,
+                 const double* a, const double* b, double alpha_s) {
+  const __m256d alpha = _mm256_set1_pd(alpha_s);
+  std::size_t i0 = 0;
+  if constexpr (J <= 6) {
+    for (; i0 + 8 <= dimi; i0 += 8) {
+      __m256d lo[J], hi[J];
+      static_for<J>([&](auto j) {
+        lo[j] = _mm256_setzero_pd();
+        hi[j] = _mm256_setzero_pd();
+      });
+      const double* ak = a + i0;
+      const double* bk = b;
+      for (std::size_t k = 0; k < kc; ++k, ak += dimi, bk += J) {
+        const __m256d a0 = _mm256_loadu_pd(ak);
+        const __m256d a1 = _mm256_loadu_pd(ak + 4);
+        static_for<J>([&](auto j) {
+          const __m256d bj = _mm256_broadcast_sd(bk + j);
+          lo[j] = _mm256_add_pd(lo[j], _mm256_mul_pd(a0, bj));
+          hi[j] = _mm256_add_pd(hi[j], _mm256_mul_pd(a1, bj));
+        });
+      }
+      store_rows4<J, S>(c + i0 * J, lo, alpha);
+      store_rows4<J, S>(c + (i0 + 4) * J, hi, alpha);
+    }
+  }
+  for (; i0 + 4 <= dimi; i0 += 4) {
+    __m256d acc[J];
+    static_for<J>([&](auto j) { acc[j] = _mm256_setzero_pd(); });
+    const double* ak = a + i0;
+    const double* bk = b;
+    for (std::size_t k = 0; k < kc; ++k, ak += dimi, bk += J) {
+      const __m256d a0 = _mm256_loadu_pd(ak);
+      static_for<J>([&](auto j) {
+        acc[j] = _mm256_add_pd(
+            acc[j], _mm256_mul_pd(a0, _mm256_broadcast_sd(bk + j)));
+      });
+    }
+    store_rows4<J, S>(c + i0 * J, acc, alpha);
+  }
+  // Tail rows one at a time, vectorised along j instead: b(k, :) is a
+  // contiguous row, so each a(k, i) is broadcast against it.
+  constexpr int jp = J / 4 * 4;
+  [[maybe_unused]] const __m128d alpha2 = _mm256_castpd256_pd128(alpha);
+  for (; i0 < dimi; ++i0) {
+    __m256d acc4[J / 4 > 0 ? J / 4 : 1];
+    static_for<J / 4>([&](auto q) { acc4[q] = _mm256_setzero_pd(); });
+    [[maybe_unused]] __m128d acc2 = _mm_setzero_pd();
+    [[maybe_unused]] __m128d acc1 = _mm_setzero_pd();
+    const double* ak = a + i0;
+    const double* bk = b;
+    for (std::size_t k = 0; k < kc; ++k, ak += dimi, bk += J) {
+      const __m256d av = _mm256_broadcast_sd(ak);
+      static_for<J / 4>([&](auto q) {
+        acc4[q] = _mm256_add_pd(
+            acc4[q], _mm256_mul_pd(av, _mm256_loadu_pd(bk + 4 * q)));
+      });
+      if constexpr (J - jp >= 2) {
+        acc2 = _mm_add_pd(acc2, _mm_mul_pd(_mm256_castpd256_pd128(av),
+                                           _mm_loadu_pd(bk + jp)));
+      }
+      if constexpr ((J - jp) % 2 == 1) {
+        acc1 = _mm_add_sd(acc1, _mm_mul_sd(_mm256_castpd256_pd128(av),
+                                           _mm_load_sd(bk + J - 1)));
+      }
+    }
+    double* ci = c + i0 * J;
+    static_for<J / 4>([&](auto q) { put4<S>(ci + 4 * q, acc4[q], alpha); });
+    if constexpr (J - jp >= 2) put2<S>(ci + jp, acc2, alpha2);
+    if constexpr ((J - jp) % 2 == 1) put1<S>(ci + J - 1, acc1, alpha2);
+  }
+}
+
+template <StoreOp S>
+void narrow_by_cols(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                    double* c, const double* a, const double* b,
+                    double alpha) {
+  switch (dimj) {
+    case 1: narrow_impl<1, S>(dimi, kc, c, a, b, alpha); break;
+    case 2: narrow_impl<2, S>(dimi, kc, c, a, b, alpha); break;
+    case 3: narrow_impl<3, S>(dimi, kc, c, a, b, alpha); break;
+    case 4: narrow_impl<4, S>(dimi, kc, c, a, b, alpha); break;
+    case 5: narrow_impl<5, S>(dimi, kc, c, a, b, alpha); break;
+    case 6: narrow_impl<6, S>(dimi, kc, c, a, b, alpha); break;
+    case 7: narrow_impl<7, S>(dimi, kc, c, a, b, alpha); break;
+    case 8: narrow_impl<8, S>(dimi, kc, c, a, b, alpha); break;
+    default: break;
+  }
+}
+
 }  // namespace
 
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
@@ -169,6 +358,22 @@ void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
     case 28: mtxm_impl<28>(dimi, dimj, kc, c, a, b, apack); break;
     case 30: mtxm_impl<30>(dimi, dimj, kc, c, a, b, apack); break;
     default: mtxm_impl<0>(dimi, dimj, kc, c, a, b, apack); break;
+  }
+}
+
+void mtxm_narrow_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                      double* c, const double* a, const double* b,
+                      StoreOp store, double alpha) {
+  switch (store) {
+    case StoreOp::kAdd:
+      narrow_by_cols<StoreOp::kAdd>(dimi, dimj, kc, c, a, b, alpha);
+      break;
+    case StoreOp::kAssign:
+      narrow_by_cols<StoreOp::kAssign>(dimi, dimj, kc, c, a, b, alpha);
+      break;
+    case StoreOp::kAxpy:
+      narrow_by_cols<StoreOp::kAxpy>(dimi, dimj, kc, c, a, b, alpha);
+      break;
   }
 }
 

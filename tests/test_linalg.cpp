@@ -1,7 +1,11 @@
 // Unit tests for src/linalg: GEMM kernels, QR, SVD.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -9,6 +13,7 @@
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "linalg/batch_gemm.hpp"
+#include "linalg/batch_gemm_kernels.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -21,6 +26,56 @@ std::vector<double> random_matrix(std::size_t rows, std::size_t cols,
   std::vector<double> m(rows * cols);
   for (double& x : m) x = rng.uniform(-1.0, 1.0);
   return m;
+}
+
+// The composed scalar Apply path a fused chain must reproduce bit for bit:
+// term by term, mode by mode through mTxm_reduced_ref into a zeroed
+// temporary, then the gaxpy-style epilogue result = 1.0 * result + c * t.
+// h holds terms * d (k, k) blocks; empty kreds means full rank.
+void composed_apply_ref(std::size_t d, std::size_t k,
+                        const std::vector<double>& src,
+                        const std::vector<std::vector<double>>& h,
+                        const std::vector<double>& coeffs,
+                        const std::vector<std::size_t>& kreds,
+                        std::vector<double>& result) {
+  const std::size_t size = src.size(), rest = size / k;
+  for (std::size_t mu = 0; mu < coeffs.size(); ++mu) {
+    const std::size_t kred = kreds.empty() ? k : kreds[mu];
+    std::vector<double> cur(src);
+    for (std::size_t m = 0; m < d; ++m) {
+      std::vector<double> next(size, 0.0);
+      mTxm_reduced_ref(rest, k, k, kred, next.data(), cur.data(),
+                       h[mu * d + m].data());
+      cur = std::move(next);
+    }
+    for (std::size_t i = 0; i < size; ++i)
+      result[i] = 1.0 * result[i] + coeffs[mu] * cur[i];
+  }
+}
+
+// fused_apply_chain over the same operands as composed_apply_ref.
+void fused_apply(std::size_t d, std::size_t k, const std::vector<double>& src,
+                 const std::vector<std::vector<double>>& h,
+                 const std::vector<double>& coeffs,
+                 const std::vector<std::size_t>& kreds,
+                 std::vector<double>& result, GemmWorkspace& ws) {
+  std::vector<GemmMat> mats;
+  for (const auto& m : h) mats.push_back(GemmMat{m.data(), k, k});
+  fused_apply_chain(d, k, src.data(), mats, coeffs, kreds, result.data(),
+                    ws);
+}
+
+// Bit-pattern equality: unlike ==, tells -0.0 from +0.0.
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << ": element " << i << " is " << got[i] << ", want "
+        << want[i];
+  }
 }
 
 // Naive reference: c(i,j) += a(i,k) b(k,j).
@@ -197,6 +252,46 @@ TEST_P(PackedGemmShapes, ExplicitWorkspaceMatchesThreadWorkspace) {
   for (std::size_t i = 0; i < c1.size(); ++i) ASSERT_EQ(c1[i], c2[i]);
 }
 
+TEST_P(PackedGemmShapes, PortableTilesBitwiseEqualScalarReference) {
+  // The portable tiles only serve hosts without AVX2, so the dispatched
+  // tests above never run them on x86-64; call them directly here.
+  const auto [di, dj, dk] = GetParam();
+  const std::size_t ni = di, nj = dj, nk = dk;
+  Rng rng(di * 5 + dj * 211 + dk * 43);
+  const auto at = random_matrix(nk, ni, rng);
+  const auto b = random_matrix(nk, nj, rng);
+  std::vector<double> apack(4 * (nk + 1));
+  for (std::size_t kc : {std::size_t{0}, std::size_t{1}, nk / 2, nk}) {
+    const std::string what = "kc " + std::to_string(kc);
+    std::vector<double> ref(ni * nj, 0.375);
+    mTxm_reduced_ref(ni, nj, nk, kc, ref.data(), at.data(), b.data());
+    std::vector<double> wide(ni * nj, 0.375);
+    detail::mtxm_portable(ni, nj, kc, wide.data(), at.data(), b.data(),
+                          apack.data());
+    expect_same_bits(wide, ref, "wide, " + what);
+    if (nj > detail::kNarrowMaxCols) continue;
+
+    std::vector<double> add(ni * nj, 0.375);
+    detail::mtxm_narrow_portable(ni, nj, kc, add.data(), at.data(), b.data(),
+                                 detail::StoreOp::kAdd, 0.0);
+    expect_same_bits(add, ref, "narrow kAdd, " + what);
+
+    // kAssign and kAxpy against memset-then-add into a temporary.
+    std::vector<double> tmp(ni * nj, 0.0);
+    mTxm_reduced_ref(ni, nj, nk, kc, tmp.data(), at.data(), b.data());
+    std::vector<double> assign(ni * nj, 99.0);
+    detail::mtxm_narrow_portable(ni, nj, kc, assign.data(), at.data(),
+                                 b.data(), detail::StoreOp::kAssign, 0.0);
+    expect_same_bits(assign, tmp, "narrow kAssign, " + what);
+    std::vector<double> axpy(ni * nj, -0.5), axpy_ref = axpy;
+    for (std::size_t i = 0; i < axpy_ref.size(); ++i)
+      axpy_ref[i] += -1.75 * tmp[i];
+    detail::mtxm_narrow_portable(ni, nj, kc, axpy.data(), at.data(), b.data(),
+                                 detail::StoreOp::kAxpy, -1.75);
+    expect_same_bits(axpy, axpy_ref, "narrow kAxpy, " + what);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EdgeShapes, PackedGemmShapes,
     ::testing::Values(
@@ -208,7 +303,39 @@ INSTANTIATE_TEST_SUITE_P(
         // Paper shapes (k^{d-1}, k) x (k, k) incl. non-multiples of 4/8.
         std::tuple{100, 10, 10}, std::tuple{196, 14, 14},
         std::tuple{2744, 14, 14}, std::tuple{400, 20, 20},
-        std::tuple{841, 29, 29}, std::tuple{1, 16, 32}));
+        std::tuple{841, 29, 29}, std::tuple{1, 16, 32},
+        // Narrow tile (dimj <= 8): (k^{d-1}, k) x (k, k) for k = 3..8 with
+        // 8-row blocks, a 4-row tail and scalar tail rows, plus dimj = 8
+        // with a contraction shorter than the width.
+        std::tuple{9, 5, 5}, std::tuple{25, 5, 5}, std::tuple{36, 6, 6},
+        std::tuple{49, 7, 7}, std::tuple{64, 8, 8}, std::tuple{13, 8, 3},
+        std::tuple{27, 3, 3}));
+
+TEST(BatchGemm, StatsCountNarrowGemmsWithoutPacking) {
+  Rng rng(31);
+  const auto a5 = random_matrix(5, 25, rng), b5 = random_matrix(5, 5, rng);
+  const auto a10 = random_matrix(10, 100, rng),
+             b10 = random_matrix(10, 10, rng);
+  std::vector<double> c(1000, 0.0);
+  GemmWorkspace ws;
+  mTxm_packed(25, 5, 5, 5, c.data(), a5.data(), b5.data(), ws);
+  EXPECT_EQ(ws.stats().packed_gemms, 1u);
+  EXPECT_EQ(ws.stats().packed_doubles, 0u);  // narrow: a read in place
+  mTxm_packed(100, 10, 10, 10, c.data(), a10.data(), b10.data(), ws);
+  EXPECT_EQ(ws.stats().packed_gemms, 2u);
+  EXPECT_EQ(ws.stats().packed_doubles, 100u * 10u);  // 25 panels of 4 x 10
+
+  // A d = 3, two-term fused chain runs 6 narrow GEMMs, none packed.
+  GemmWorkspace fws;
+  const std::vector<double> src = random_matrix(5, 25, rng);
+  std::vector<std::vector<double>> h;
+  for (int i = 0; i < 6; ++i) h.push_back(random_matrix(5, 5, rng));
+  std::vector<double> out(125, 0.0);
+  fused_apply(3, 5, src, h, {1.0, 2.0}, {}, out, fws);
+  EXPECT_EQ(fws.stats().packed_gemms, 6u);
+  EXPECT_EQ(fws.stats().packed_doubles, 0u);
+  EXPECT_EQ(fws.stats().fused_chains, 1u);
+}
 
 TEST(BatchGemm, FusedChainBitwiseEqualsSequentialComposition) {
   // One fused pass over a d=3 mode chain must reproduce, bit for bit, the
@@ -248,32 +375,119 @@ TEST(BatchGemm, FusedApplyChainBitwiseEqualsTermByTermComposition) {
   std::vector<std::vector<double>> h;
   for (std::size_t i = 0; i < terms * d; ++i)
     h.push_back(random_matrix(k, k, rng));
-  const double coeffs[terms] = {1.5, -0.25, 3.0, 0.125};
-  const std::size_t kreds[terms] = {k, 7, k, 1};
+  const std::vector<double> coeffs = {1.5, -0.25, 3.0, 0.125};
+  const std::vector<std::size_t> kreds = {k, 7, k, 1};
 
-  // Reference: term-by-term, mode-by-mode through the scalar kernels.
   std::vector<double> ref(size, 0.0625);
-  for (std::size_t mu = 0; mu < terms; ++mu) {
-    std::vector<double> cur(src);
-    for (std::size_t m = 0; m < d; ++m) {
-      std::vector<double> next(size, 0.0);
-      mTxm_reduced_ref(rest, k, k, kreds[mu], next.data(), cur.data(),
-                       h[mu * d + m].data());
-      cur = std::move(next);
-    }
-    for (std::size_t i = 0; i < size; ++i)
-      ref[i] = 1.0 * ref[i] + coeffs[mu] * cur[i];
-  }
-
-  std::vector<GemmMat> mats;
-  for (std::size_t i = 0; i < terms * d; ++i)
-    mats.push_back(GemmMat{h[i].data(), k, k});
+  composed_apply_ref(d, k, src, h, coeffs, kreds, ref);
   std::vector<double> out(size, 0.0625);
   GemmWorkspace ws;
-  fused_apply_chain(d, k, src.data(), {mats.data(), mats.size()},
-                    {coeffs, terms}, {kreds, terms}, out.data(), ws);
+  fused_apply(d, k, src, h, coeffs, kreds, out, ws);
   EXPECT_EQ(ws.stats().fused_chains, 1u);
   for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(out[i], ref[i]);
+}
+
+// The narrow-tile fused chain (k <= 8: memset-free intermediates, the
+// coefficient folded into the last mode's store) over every d the library
+// runs, at full rank and with per-term ranks {k, k-2, 1, 0}.
+class NarrowFusedApply
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+
+TEST_P(NarrowFusedApply, BitwiseEqualsTermByTermComposition) {
+  const auto [ki, di, reduced] = GetParam();
+  const std::size_t k = ki, d = di, terms = 4;
+  std::size_t size = 1;
+  for (std::size_t m = 0; m < d; ++m) size *= k;
+  Rng rng(k * 1000 + d * 10 + (reduced ? 1 : 0));
+  const auto src = random_matrix(k, size / k, rng);
+  std::vector<std::vector<double>> h;
+  for (std::size_t i = 0; i < terms * d; ++i)
+    h.push_back(random_matrix(k, k, rng));
+  const std::vector<double> coeffs = {0.75, -2.5, 1.0, -0.0625};
+  std::vector<std::size_t> kreds;
+  if (reduced) kreds = {k, k - 2, 1, 0};
+
+  std::vector<double> ref(size, -0.3);
+  composed_apply_ref(d, k, src, h, coeffs, kreds, ref);
+  std::vector<double> out(size, -0.3);
+  GemmWorkspace ws;
+  fused_apply(d, k, src, h, coeffs, kreds, out, ws);
+  expect_same_bits(out, ref, "fused chain");
+  EXPECT_EQ(ws.stats().packed_gemms, terms * d);
+  EXPECT_EQ(ws.stats().packed_doubles, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallK, NarrowFusedApply,
+    ::testing::Combine(::testing::Values(5, 6, 7, 8),
+                       ::testing::Values(1, 2, 3, 4), ::testing::Bool()));
+
+TEST(BatchGemm, FusedApplySignedZerosAndCancellationMatchComposition) {
+  // Pins the memset-free store: an accumulator that starts at +0.0 can
+  // never become -0.0, so assigning it equals 0.0 + acc bit for bit. Every
+  // product here is a signed zero (an all-(-0.0) source) or cancels exactly
+  // (paired rows v, -v in the blocks against equal paired source rows), so
+  // each mode's true result is a zero whose sign a wrong store would flip.
+  // One term per call with result = +-0.0 and coefficient +-1 makes that
+  // sign reach the result's bits. Narrow (k <= 8) and wide (k = 10) tiles.
+  for (const std::size_t k : {std::size_t{4}, std::size_t{5}, std::size_t{8},
+                              std::size_t{10}}) {
+    const std::size_t d = 3, size = k * k * k, rest = size / k;
+    Rng rng(k);
+    std::vector<double> negzero_src(size, -0.0), paired_src(size, 0.0);
+    for (std::size_t r = 0; r < k; r += 2) {
+      for (std::size_t i = 0; i < rest; ++i) {
+        const double v = rng.uniform(-1.0, 1.0);
+        paired_src[r * rest + i] = v;
+        if (r + 1 < k) paired_src[(r + 1) * rest + i] = v;
+      }
+    }
+    // Block sets: all entries positive, all negative, or cancelling pairs
+    // (row 2p+1 = -row 2p, an odd last row -0.0).
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<std::vector<double>> h;
+      for (std::size_t m = 0; m < d; ++m) {
+        std::vector<double> blk = random_matrix(k, k, rng);
+        for (std::size_t e = 0; e < k * k; ++e) {
+          const double mag = blk[e] < 0.0 ? -blk[e] : blk[e];
+          if (kind == 0) blk[e] = mag;
+          if (kind == 1) blk[e] = -mag;
+        }
+        if (kind == 2) {
+          for (std::size_t r = 0; r < k; r += 2) {
+            for (std::size_t j = 0; j < k; ++j) {
+              if (r + 1 < k) {
+                blk[(r + 1) * k + j] = -blk[r * k + j];
+              } else {
+                blk[r * k + j] = -0.0;
+              }
+            }
+          }
+        }
+        h.push_back(std::move(blk));
+      }
+      for (const auto* src : {&negzero_src, &paired_src}) {
+        for (const double coeff : {1.0, -1.0}) {
+          for (const double init : {0.0, -0.0}) {
+            for (const std::size_t kred : {k, std::size_t{1}, std::size_t{0}}) {
+              std::vector<double> ref(size, init), out(size, init);
+              composed_apply_ref(d, k, *src, h, {coeff}, {kred}, ref);
+              GemmWorkspace ws;
+              fused_apply(d, k, *src, h, {coeff}, {kred}, out, ws);
+              expect_same_bits(
+                  out, ref,
+                  "k " + std::to_string(k) + " blocks " +
+                      std::to_string(kind) +
+                      (src == &negzero_src ? " -0.0 source" : " paired") +
+                      " coeff " + std::to_string(coeff) + " init " +
+                      (std::signbit(init) ? "-0" : "+0") + " kred " +
+                      std::to_string(kred));
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
@@ -314,6 +528,13 @@ TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
                       {coeffs, terms}, {}, expected[i].data(), ws);
     for (std::size_t e = 0; e < size; ++e)
       ASSERT_EQ(results[i][e], expected[i][e]);
+    // ... and both must equal the composed scalar path, not just each other.
+    const std::vector<std::vector<double>> item_h(
+        hs.begin() + i * terms * d, hs.begin() + (i + 1) * terms * d);
+    std::vector<double> composed(size, 0.0);
+    composed_apply_ref(d, k, srcs[i], item_h, {coeffs, coeffs + terms}, {},
+                       composed);
+    expect_same_bits(results[i], composed, "item " + std::to_string(i));
   }
 }
 
