@@ -3,69 +3,25 @@
 #include <utility>
 
 #include "common/diagnostics.hpp"
-#include "fault/fault.hpp"
 
 namespace mh::dht {
 
 DistributedFunction::DistributedFunction(const mra::Function& fn,
-                                         const OwnerMap& owners,
-                                         std::size_t replication)
-    : params_(fn.params()),
-      replication_(replication < 1 ? 1 : replication),
-      map_(owners),
-      replicas_(owners.ranks()) {
+                                         const OwnerMap& owners)
+    : params_(fn.params()), map_(owners) {
   MH_CHECK(!fn.compressed(), "scatter requires reconstructed form");
   for (const mra::Key& key : fn.leaf_keys()) {
     const Tensor& coeffs = fn.leaf_coeffs(key);
     map_.put(/*from_rank=*/0, key, coeffs,
              static_cast<double>(coeffs.size()) * 8.0);
-    if (replication_ < 2) continue;
-    // Backups: the first replication-1 ranks of the key's rendezvous order
-    // that are not the primary. The write-through rides the scatter, like
-    // a replicated projector would issue it.
-    const std::size_t primary = map_.owner(key);
-    std::size_t backups = 0;
-    for (const std::size_t rank : map_.owners().replicas_of(key, ranks())) {
-      if (rank == primary) continue;
-      replicas_[rank].insert_or_assign(key, coeffs);
-      if (++backups == replication_ - 1) break;
-    }
   }
-}
-
-std::size_t DistributedFunction::rebuild_shard(std::size_t dead_rank) {
-  MH_CHECK(dead_rank < ranks(), "rank out of range");
-  if (replication_ < 2) {
-    throw fault::FaultError(
-        fault::ErrorCode::kDataLost,
-        "rebuild_shard: no replicas were kept (replication < 2)");
-  }
-  map_.drop_shard(dead_rank);
-  // The dead rank's backup copies died with it.
-  replicas_[dead_rank].clear();
-  std::size_t restored = 0;
-  for (std::size_t rank = 0; rank < ranks(); ++rank) {
-    for (const auto& [key, coeffs] : replicas_[rank]) {
-      if (map_.owner(key) != dead_rank || map_.contains(key)) continue;
-      // Survivor `rank` promotes its backup copy back to the primary home.
-      map_.put(rank, key, coeffs, static_cast<double>(coeffs.size()) * 8.0);
-      ++restored;
-    }
-  }
-  return restored;
 }
 
 std::vector<std::size_t> DistributedFunction::apply_loads(
     const ops::SeparatedConvolution& op) const {
   std::vector<std::size_t> loads(ranks(), 0);
-  for (std::size_t rank = 0; rank < ranks(); ++rank) {
-    for (const auto& [key, coeffs] : map_.shard(rank)) {
-      const auto& disps = op.displacements(key.level());
-      for (const auto& disp : disps) {
-        mra::Key target;
-        if (ops::apply_target(op, key, disp, target)) ++loads[rank];
-      }
-    }
+  for (const ops::ApplyTask& task : ops::make_apply_tasks(op, gather())) {
+    ++loads[map_.owner(task.source)];
   }
   return loads;
 }
@@ -87,44 +43,23 @@ mra::Function distributed_apply(const ops::SeparatedConvolution& op,
   MH_CHECK(op.params().ndim == f.params().ndim &&
                op.params().k == f.params().k,
            "operator/function parameter mismatch");
-  const std::size_t d = f.params().ndim;
-  // One result tensor (k^d doubles) per accumulated message.
-  double payload_bytes = 8.0;
-  for (std::size_t m = 0; m < d; ++m)
-    payload_bytes *= static_cast<double>(op.params().k);
-
-  // The result tree is itself a distributed map under the same owner map;
-  // contributions are accumulated *at the target's owner* (an active
-  // message when the displacement leaves the source's rank).
-  DistributedMap<Tensor> result(f.map().owners());
+  const mra::Function whole = f.gather();
   ops::ApplyStats local;
-  for (std::size_t rank = 0; rank < f.ranks(); ++rank) {
-    for (const auto& [key, coeffs] : f.map().shard(rank)) {
-      for (const auto& disp : op.displacements(key.level())) {
-        mra::Key target;
-        if (!ops::apply_target(op, key, disp, target)) continue;
-        Tensor r =
-            ops::apply_task_compute(op, coeffs, key.level(), disp, {}, &local);
-        result.accumulate(rank, target, std::move(r), payload_bytes,
-                          [](Tensor& acc, Tensor&& incoming) {
-                            acc += incoming;
-                          });
-      }
-    }
-  }
+  mra::Function out = ops::apply(op, whole, {}, &local);
 
-  // Gather the distributed result into one address space.
-  mra::Function out(f.params());
-  out.accumulate(mra::Key::root(d), Tensor::cube(d, op.params().k));
-  for (std::size_t rank = 0; rank < f.ranks(); ++rank) {
-    for (const auto& [key, r] : result.shard(rank)) {
-      out.accumulate(key, r);
+  if (comm_out != nullptr) {
+    // One result tensor (k^d doubles) per accumulated message.
+    double payload_bytes = 8.0;
+    for (std::size_t m = 0; m < f.params().ndim; ++m)
+      payload_bytes *= static_cast<double>(op.params().k);
+    CommStats comm;
+    for (const ops::ApplyTask& task : ops::make_apply_tasks(op, whole)) {
+      comm.record(f.map().owner(task.source), f.map().owner(task.target),
+                  payload_bytes);
     }
+    *comm_out = comm;
   }
-  out.sum_down();
-
   if (stats != nullptr) *stats = local;
-  if (comm_out != nullptr) *comm_out = result.comm();
   return out;
 }
 

@@ -5,13 +5,14 @@
 // distributed hash table under a process map; every Apply task executes on
 // the rank that owns its *source* leaf, and its result is accumulated into
 // the owner of the *target* key — a remote active message when the
-// displacement crosses a subtree boundary. The distributed result is
-// bit-identical to the serial ops::apply (tests enforce this); what differs
-// is the communication profile, which depends on the owner map.
+// displacement crosses a subtree boundary. distributed_apply is a binding of
+// ops::apply: it computes the gathered function's Apply with ops::apply, so
+// the result is bitwise identical to the serial Apply by construction, and
+// prices the same ops::make_apply_tasks list under the owner map for the
+// communication profile.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "dht/distributed_map.hpp"
@@ -26,12 +27,7 @@ class DistributedFunction {
   /// Scatter a reconstructed function's leaves over the owner map's ranks.
   /// Scattering is issued from rank 0 (the projector), so the initial
   /// distribution itself counts messages, as a real run would.
-  /// `replication` > 1 additionally writes every leaf through to the first
-  /// replication-1 backup ranks of its rendezvous order
-  /// (OwnerMap::replicas_of) that differ from the primary, so a dead rank's
-  /// shard can be rebuilt from survivors (rebuild_shard).
-  DistributedFunction(const mra::Function& fn, const OwnerMap& owners,
-                      std::size_t replication = 1);
+  DistributedFunction(const mra::Function& fn, const OwnerMap& owners);
 
   std::size_t ranks() const noexcept { return map_.ranks(); }
   const mra::FunctionParams& params() const noexcept { return params_; }
@@ -41,37 +37,27 @@ class DistributedFunction {
   }
 
   /// Task-count load of every rank for one Apply of `op` (what the process
-  /// map hands each compute node).
+  /// map hands each compute node): ops::make_apply_tasks counted by the
+  /// owner of each task's source leaf.
   std::vector<std::size_t> apply_loads(
       const ops::SeparatedConvolution& op) const;
 
   /// Reassemble a single-address-space Function (gather to rank 0).
   mra::Function gather() const;
 
-  std::size_t replication() const noexcept { return replication_; }
-
-  /// Rebuild `dead_rank`'s primary shard from the replica copies the
-  /// survivors hold: the shard is dropped, then every replicated leaf the
-  /// dead rank owned is re-put from the first surviving backup. Returns
-  /// the number of leaves restored. Requires replication >= 2 — without
-  /// backups the shard is unrecoverable, a typed kDataLost fault.
-  std::size_t rebuild_shard(std::size_t dead_rank);
-
   const DistributedMap<Tensor>& map() const noexcept { return map_; }
 
  private:
-  using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
-
   mra::FunctionParams params_;
-  std::size_t replication_;
   DistributedMap<Tensor> map_;
-  std::vector<Shard> replicas_;  ///< backup copies, indexed by backup rank
 };
 
-/// Distributed Apply: each source rank computes its own leaves' tasks and
-/// accumulates results at the target owners. Returns the gathered result
-/// (leaf-consistent via sum_down). `comm_out`, if given, receives the
-/// Apply-phase communication stats (scatter traffic excluded).
+/// Distributed Apply: the result of ops::apply on the gathered function
+/// (leaf-consistent via sum_down, bitwise equal to the serial Apply).
+/// `stats`, if given, is assigned the Apply's counts. `comm_out`, if given,
+/// receives the Apply-phase communication stats (scatter traffic excluded):
+/// every task runs on its source's owner, and a task whose target has
+/// another owner ships one k^d-double result tensor there.
 mra::Function distributed_apply(const ops::SeparatedConvolution& op,
                                 const DistributedFunction& f,
                                 ops::ApplyStats* stats = nullptr,

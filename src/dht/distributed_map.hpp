@@ -2,10 +2,12 @@
 // §I-A: "Distributed trees are implemented in MADNESS with distributed
 // hash tables").
 //
-// R ranks each hold a local map; every operation is issued *from* a rank,
-// and touching a key owned elsewhere is accounted as a message (MADNESS's
-// active messages / AM-driven accumulate). The container is the substrate
-// under DistributedFunction and the distributed Apply; tests assert both
+// R ranks each hold a local map; every put is issued *from* a rank, and
+// touching a key owned elsewhere is accounted as a message (MADNESS's
+// active messages). The local/remote pricing rule is CommStats::record,
+// shared by the map's routing, distributed_apply's task accounting and
+// ReplicatedStore's write-through, so all three count traffic alike. The
+// container is the substrate under DistributedFunction; tests assert both
 // the data semantics and the communication accounting.
 #pragma once
 
@@ -32,6 +34,19 @@ struct CommStats {
                       : static_cast<double>(remote_ops) /
                             static_cast<double>(total);
   }
+
+  /// Price one operation issued on rank `from` against data owned by rank
+  /// `to`: local when they coincide, otherwise one active message carrying
+  /// `payload_bytes`.
+  void record(std::size_t from, std::size_t to, double payload_bytes) noexcept {
+    if (from == to) {
+      ++local_ops;
+    } else {
+      ++remote_ops;
+      ++messages;
+      bytes += payload_bytes;
+    }
+  }
 };
 
 template <typename V>
@@ -48,33 +63,10 @@ class DistributedMap {
   /// Insert or overwrite, issued from `from_rank`. `bytes` is the payload
   /// size for communication accounting.
   void put(std::size_t from_rank, const mra::Key& key, V value, double bytes) {
-    const std::size_t to = route(from_rank, bytes, key);
+    MH_CHECK(from_rank < shards_.size(), "rank out of range");
+    const std::size_t to = owners_.owner(key);
+    comm_.record(from_rank, to, bytes);
     shards_[to].insert_or_assign(key, std::move(value));
-  }
-
-  /// Lookup issued from `from_rank`; nullptr when absent. A remote find
-  /// costs a round trip (counted as one message + payload bytes back).
-  const V* find(std::size_t from_rank, const mra::Key& key,
-                double bytes) const {
-    route(from_rank, bytes, key);
-    const auto& shard = shards_[owners_.owner(key)];
-    const auto it = shard.find(key);
-    return it == shard.end() ? nullptr : &it->second;
-  }
-
-  /// The MADNESS accumulate pattern: ship `value` to the owner and combine
-  /// it there with `combine(existing, incoming)`; creates the entry if new.
-  template <typename Combine>
-  void accumulate(std::size_t from_rank, const mra::Key& key, V value,
-                  double bytes, Combine&& combine) {
-    route(from_rank, bytes, key);
-    auto& shard = shards_[owners_.owner(key)];
-    auto [it, inserted] = shard.try_emplace(key, std::move(value));
-    if (!inserted) combine(it->second, std::move(value));
-  }
-
-  bool contains(const mra::Key& key) const {
-    return shards_[owners_.owner(key)].contains(key);
   }
 
   std::size_t size() const {
@@ -87,16 +79,6 @@ class DistributedMap {
     return shards_[rank].size();
   }
 
-  /// Drop one rank's entire shard (the rank died); returns how many
-  /// entries went with it. Recovery layers re-put the entries from replica
-  /// copies (DistributedFunction::rebuild_shard).
-  std::size_t drop_shard(std::size_t rank) {
-    MH_CHECK(rank < shards_.size(), "rank out of range");
-    const std::size_t dropped = shards_[rank].size();
-    shards_[rank].clear();
-    return dropped;
-  }
-
   /// Local view of one rank's shard (iteration for gather/inspection).
   const std::unordered_map<mra::Key, V, mra::KeyHash>& shard(
       std::size_t rank) const {
@@ -107,23 +89,9 @@ class DistributedMap {
   const CommStats& comm() const noexcept { return comm_; }
 
  private:
-  std::size_t route(std::size_t from_rank, double bytes,
-                    const mra::Key& key) const {
-    MH_CHECK(from_rank < shards_.size(), "rank out of range");
-    const std::size_t to = owners_.owner(key);
-    if (to == from_rank) {
-      ++comm_.local_ops;
-    } else {
-      ++comm_.remote_ops;
-      ++comm_.messages;
-      comm_.bytes += bytes;
-    }
-    return to;
-  }
-
   const OwnerMap& owners_;
   std::vector<std::unordered_map<mra::Key, V, mra::KeyHash>> shards_;
-  mutable CommStats comm_;
+  CommStats comm_;
 };
 
 }  // namespace mh::dht

@@ -19,9 +19,6 @@
 // state and restore() rebuilds it into a world of any size — the
 // checkpoint/restart leg of the recovery protocol when replication alone
 // cannot recover (R=1, or multiple holders lost between repairs).
-//
-// Environment conventions: MH_REPLICATION overrides the default replication
-// factor R where a caller opts in via replication_from_env().
 #pragma once
 
 #include <cstddef>
@@ -41,10 +38,6 @@
 #include "mra/function.hpp"
 
 namespace mh::dht {
-
-/// MH_REPLICATION parsed as a replication factor (>= 1); `fallback` when
-/// unset or unparsable.
-std::size_t replication_from_env(std::size_t fallback = 2);
 
 /// What one repair() pass moved to restore the R-way replica invariant.
 struct RecoveryStats {
@@ -125,18 +118,13 @@ class ReplicatedStore {
                               "put: every replica rank of the entry is dead");
     }
     for (const std::size_t to : live) {
-      if (to == from_rank) {
-        ++comm_.local_ops;
-      } else {
-        if (faults != nullptr && faults->armed(fault::FaultSite::kSend) &&
-            faults->should_fail(fault::FaultSite::kSend)) {
-          ++dropped_writes_;
-          continue;  // this copy is lost on the wire; self-heals later
-        }
-        ++comm_.remote_ops;
-        ++comm_.messages;
-        comm_.bytes += bytes;
+      if (to != from_rank && faults != nullptr &&
+          faults->armed(fault::FaultSite::kSend) &&
+          faults->should_fail(fault::FaultSite::kSend)) {
+        ++dropped_writes_;
+        continue;  // this copy is lost on the wire; self-heals later
       }
+      comm_.record(from_rank, to, bytes);
       if (shards_[to].insert_or_assign(key, value).second) {
         bump_copies(key, +1);
       }

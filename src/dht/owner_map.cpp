@@ -38,11 +38,6 @@ std::vector<std::size_t> rendezvous_order(std::uint64_t placement_hash,
   return order;
 }
 
-std::vector<std::size_t> OwnerMap::replicas_of(const mra::Key& key,
-                                               std::size_t r) const {
-  return rendezvous_order(key.hash(), ranks_, r, /*seed=*/0);
-}
-
 HashOwnerMap::HashOwnerMap(std::size_t ranks, std::uint64_t seed)
     : OwnerMap(ranks), seed_(seed) {}
 
@@ -60,11 +55,6 @@ SubtreeOwnerMap::SubtreeOwnerMap(std::size_t ranks, int subtree_level,
 std::size_t SubtreeOwnerMap::owner(const mra::Key& key) const {
   return static_cast<std::size_t>(
       hash_combine(mix64(seed_), anchor_of(key).hash()) % ranks_);
-}
-
-std::vector<std::size_t> SubtreeOwnerMap::replicas_of(const mra::Key& key,
-                                                      std::size_t r) const {
-  return rendezvous_order(anchor_of(key).hash(), ranks_, r, seed_);
 }
 
 mra::Key SubtreeOwnerMap::anchor_of(const mra::Key& key) const {

@@ -261,12 +261,7 @@ mra::Function apply(const SeparatedConvolution& op, const mra::Function& f,
   }
   out.sum_down();
   if (stats != nullptr) {
-    for (const ApplyStats& s : chunk_stats) {
-      stats->tasks += s.tasks;
-      stats->gemms += s.gemms;
-      stats->flops += s.flops;
-      stats->rank_reduced_gemms += s.rank_reduced_gemms;
-    }
+    for (const ApplyStats& s : chunk_stats) *stats += s;
   }
   return out;
 }

@@ -27,6 +27,15 @@ struct ApplyStats {
   std::size_t gemms = 0;       ///< small matrix multiplies performed
   double flops = 0.0;          ///< flops of those multiplies
   std::size_t rank_reduced_gemms = 0;  ///< GEMMs shortened by rank reduction
+
+  /// Field-wise sum: merges the counts of disjoint sets of tasks.
+  ApplyStats& operator+=(const ApplyStats& other) noexcept {
+    tasks += other.tasks;
+    gemms += other.gemms;
+    flops += other.flops;
+    rank_reduced_gemms += other.rank_reduced_gemms;
+    return *this;
+  }
 };
 
 struct ApplyOptions {

@@ -1,7 +1,7 @@
 #include "world/world_apply.hpp"
 
-#include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/diagnostics.hpp"
 
@@ -26,9 +26,9 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
   std::vector<Shard> results(world.ranks());
 
-  // Stats are shared across ranks; guard them.
-  std::mutex stats_mu;
-  ops::ApplyStats total_stats;
+  // Per-rank stats, each written once by its own rank's task and merged
+  // after the fence.
+  std::vector<ops::ApplyStats> rank_stats(world.ranks());
 
   const auto& owners = f.map().owners();
   for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
@@ -51,10 +51,7 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                      });
         }
       }
-      std::scoped_lock lock(stats_mu);
-      total_stats.tasks += local.tasks;
-      total_stats.gemms += local.gemms;
-      total_stats.flops += local.flops;
+      rank_stats[rank] = local;
     });
   }
   world.fence();
@@ -65,7 +62,10 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
     for (const auto& [key, r] : shard) out.accumulate(key, r);
   }
   out.sum_down();
-  if (stats != nullptr) *stats = total_stats;
+  if (stats != nullptr) {
+    *stats = {};
+    for (const ops::ApplyStats& s : rank_stats) *stats += s;
+  }
   return out;
 }
 

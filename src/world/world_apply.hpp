@@ -3,8 +3,10 @@
 // via active messages (paper Algorithms 3-6 in distributed-memory form).
 //
 // This combines the three substrates the paper builds on — the distributed
-// tree (dht), the task runtime (world), and the operator math (ops) — and
-// is verified bit-for-bit against the serial ops::apply.
+// tree (dht), the task runtime (world), and the operator math (ops). Each
+// target sums its contributions in message-arrival order, so the result
+// matches the serial ops::apply to rounding, not bit for bit; its message
+// and byte counts equal dht::distributed_apply's CommStats.
 #pragma once
 
 #include "dht/distributed_function.hpp"

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "apps/coulomb.hpp"
 #include "common/diagnostics.hpp"
@@ -21,6 +23,21 @@ namespace {
 mra::Key key1d(int level, std::int64_t l) {
   const std::int64_t t[1] = {l};
   return mra::Key(1, level, t);
+}
+
+// Bitwise function equality: same leaf set, identical coefficient bits.
+void expect_bitwise_equal(const mra::Function& a, const mra::Function& b) {
+  const auto keys_a = a.leaf_keys();
+  const auto keys_b = b.leaf_keys();
+  ASSERT_EQ(keys_a.size(), keys_b.size());
+  for (std::size_t i = 0; i < keys_a.size(); ++i) {
+    ASSERT_EQ(keys_a[i], keys_b[i]);
+    const auto x = a.leaf_coeffs(keys_a[i]).flat();
+    const auto y = b.leaf_coeffs(keys_b[i]).flat();
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0)
+        << "coefficient bits differ at leaf " << keys_a[i];
+  }
 }
 
 TEST(OwnerMaps, HashMapSpreadsKeys) {
@@ -122,11 +139,20 @@ TEST(DistributedMap, PutFindRoundTrip) {
   DistributedMap<int> map(owners);
   const mra::Key key = key1d(3, 5);
   map.put(0, key, 42, 8.0);
-  EXPECT_TRUE(map.contains(key));
-  const int* v = map.find(1, key, 8.0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 42);
-  EXPECT_EQ(map.find(1, key1d(3, 6), 8.0), nullptr);
+  map.put(1, key, 43, 8.0);  // overwrite, from another rank
+  // The entry lives only in its owner's shard.
+  for (std::size_t r = 0; r < map.ranks(); ++r) {
+    const auto& shard = map.shard(r);
+    if (r != owners.owner(key)) {
+      EXPECT_TRUE(shard.empty());
+      continue;
+    }
+    ASSERT_EQ(shard.size(), 1u);
+    const auto it = shard.find(key);
+    ASSERT_NE(it, shard.end());
+    EXPECT_EQ(it->second, 43);
+    EXPECT_EQ(shard.find(key1d(3, 6)), shard.end());
+  }
   EXPECT_EQ(map.size(), 1u);
 }
 
@@ -143,20 +169,6 @@ TEST(DistributedMap, CommAccountingDistinguishesLocalAndRemote) {
   EXPECT_EQ(map.comm().messages, 1u);
   EXPECT_DOUBLE_EQ(map.comm().bytes, 100.0);
   EXPECT_NEAR(map.comm().remote_fraction(), 0.5, 1e-12);
-}
-
-TEST(DistributedMap, AccumulateCombinesAtOwner) {
-  HashOwnerMap owners(3, 5);
-  DistributedMap<int> map(owners);
-  const mra::Key key = key1d(2, 1);
-  auto add = [](int& acc, int&& x) { acc += x; };
-  map.accumulate(0, key, 10, 4.0, add);
-  map.accumulate(1, key, 5, 4.0, add);
-  map.accumulate(2, key, 1, 4.0, add);
-  const int* v = map.find(owners.owner(key), key, 4.0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 16);
-  EXPECT_EQ(map.size(), 1u);
 }
 
 TEST(DistributedMap, ShardSizesSumToTotal) {
@@ -182,22 +194,6 @@ mra::Function make_test_function() {
     return std::exp(-u * u);
   };
   return mra::Function::project(f_fn, p);
-}
-
-TEST(DistributedMap, TensorPayloadsAccumulateElementwise) {
-  HashOwnerMap owners(3, 77);
-  DistributedMap<Tensor> map(owners);
-  const mra::Key key = key1d(3, 2);
-  auto add = [](Tensor& acc, Tensor&& x) { acc += x; };
-  Tensor a({4});
-  a.fill(1.0);
-  Tensor b({4});
-  b.fill(2.5);
-  map.accumulate(0, key, a, 32.0, add);
-  map.accumulate(1, key, b, 32.0, add);
-  const Tensor* got = map.find(owners.owner(key), key, 32.0);
-  ASSERT_NE(got, nullptr);
-  for (double x : got->flat()) EXPECT_DOUBLE_EQ(x, 3.5);
 }
 
 TEST(DistributedMap, RemoteFractionScalesWithRankCount) {
@@ -238,7 +234,8 @@ TEST(DistributedFunction, ScatterPreservesLeavesAndGathersBack) {
 TEST(DistributedFunction, ApplyMatchesSerialBitForBit) {
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  const mra::Function serial = ops::apply(op, f);
+  ops::ApplyStats serial_stats;
+  const mra::Function serial = ops::apply(op, f, {}, &serial_stats);
 
   HashOwnerMap owners(4, 21);
   DistributedFunction df(f, owners);
@@ -247,11 +244,14 @@ TEST(DistributedFunction, ApplyMatchesSerialBitForBit) {
   const mra::Function dist = distributed_apply(op, df, &stats, &comm);
 
   EXPECT_GT(stats.tasks, 0u);
-  Rng rng(10);
-  for (int i = 0; i < 25; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
-  }
+  EXPECT_EQ(stats.tasks, serial_stats.tasks);
+  expect_bitwise_equal(dist, serial);
+  // The communication profile of this placement: 264 tasks, 173 of them
+  // ship a k = 7 result tensor (56 bytes) to another rank.
+  EXPECT_EQ(comm.local_ops, 91u);
+  EXPECT_EQ(comm.remote_ops, 173u);
+  EXPECT_EQ(comm.messages, 173u);
+  EXPECT_DOUBLE_EQ(comm.bytes, 173.0 * 56.0);
 }
 
 TEST(DistributedFunction, SubtreeMapSendsFewerMessagesThanHashMap) {
@@ -335,12 +335,51 @@ TEST(DistributedFunction, PeriodicApplyMatchesSerial) {
   ops::ApplyStats stats;
   const mra::Function dist = distributed_apply(op, df, &stats);
   EXPECT_EQ(stats.tasks, tasks);
-  EXPECT_NEAR(dist.integral(), serial.integral(), 1e-12);
-  Rng rng(11);
-  for (int i = 0; i < 25; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
+  expect_bitwise_equal(dist, serial);
+}
+
+// Oracle for distributed_apply's accounting: every rank walks its own
+// shard, runs each leaf's on-grid displacements and ships each result to
+// the target's owner — the paper's placement, priced message by message.
+void expect_shard_walk_accounting(const mra::Function& f,
+                                  const ops::SeparatedConvolution& op) {
+  const double payload_bytes = 8.0 * static_cast<double>(f.k());  // 1-D
+  for (const std::size_t ranks : {1u, 4u, 6u, 8u}) {
+    const HashOwnerMap hash(ranks, 21);
+    const SubtreeOwnerMap subtree(ranks, 2, 5);
+    for (const OwnerMap* owners : {static_cast<const OwnerMap*>(&hash),
+                                   static_cast<const OwnerMap*>(&subtree)}) {
+      SCOPED_TRACE(std::to_string(ranks) +
+                   (owners == &hash ? " ranks, hash" : " ranks, subtree"));
+      const DistributedFunction df(f, *owners);
+      CommStats expect;
+      std::vector<std::size_t> expect_loads(ranks, 0);
+      for (std::size_t rank = 0; rank < ranks; ++rank) {
+        for (const auto& [key, coeffs] : df.map().shard(rank)) {
+          for (const auto& disp : op.displacements(key.level())) {
+            mra::Key target;
+            if (!ops::apply_target(op, key, disp, target)) continue;
+            ++expect_loads[rank];
+            expect.record(rank, owners->owner(target), payload_bytes);
+          }
+        }
+      }
+      CommStats comm;
+      distributed_apply(op, df, nullptr, &comm);
+      EXPECT_EQ(comm.local_ops, expect.local_ops);
+      EXPECT_EQ(comm.remote_ops, expect.remote_ops);
+      EXPECT_EQ(comm.messages, expect.messages);
+      EXPECT_DOUBLE_EQ(comm.bytes, expect.bytes);
+      EXPECT_EQ(df.apply_loads(op), expect_loads);
+    }
   }
+}
+
+TEST(DistributedFunction, TrafficAndLoadsMatchAShardWalk) {
+  expect_shard_walk_accounting(
+      make_test_function(),
+      apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7));
+  expect_shard_walk_accounting(edge_gaussian(), periodic_operator());
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Tests for the elastic-recovery subsystem: rendezvous replica placement,
 // the R-way replicated store (kill / revive / repair), versioned
-// checkpoint/restart into resized worlds, replicated DistributedFunction
-// shard rebuild, the World death-handler protocol, and the churn drill —
-// a distributed Apply that completes bitwise-equal to the fault-free
-// reference while ranks die and rejoin mid-run.
+// checkpoint/restart into resized worlds, the World death-handler protocol,
+// and the churn drill — a distributed Apply that completes bitwise-equal to
+// the serial ops::apply while ranks die and rejoin mid-run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,10 +16,11 @@
 #include "apps/coulomb.hpp"
 #include "clustersim/churn.hpp"
 #include "common/diagnostics.hpp"
-#include "dht/distributed_function.hpp"
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
 #include "obs/export.hpp"
+#include "ops/apply.hpp"
+#include "ops/separated.hpp"
 #include "world/world.hpp"
 
 namespace mh::dht {
@@ -68,8 +69,11 @@ void expect_bitwise_equal(const mra::Function& a, const mra::Function& b) {
   ASSERT_EQ(keys_a.size(), keys_b.size());
   for (std::size_t i = 0; i < keys_a.size(); ++i) {
     ASSERT_EQ(keys_a[i], keys_b[i]);
-    EXPECT_TRUE(a.leaf_coeffs(keys_a[i]) == b.leaf_coeffs(keys_b[i]))
-        << "coefficients differ at leaf " << keys_a[i];
+    const auto x = a.leaf_coeffs(keys_a[i]).flat();
+    const auto y = b.leaf_coeffs(keys_b[i]).flat();
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0)
+        << "coefficient bits differ at leaf " << keys_a[i];
   }
 }
 
@@ -89,12 +93,23 @@ TEST(ReplicaPlacement, RendezvousOrderIsAPermutationAndDeterministic) {
 }
 
 TEST(ReplicaPlacement, SubtreeMapColocatesReplicaSets) {
-  SubtreeOwnerMap map(12, /*subtree_level=*/2, 3);
+  // Every key of a subtree shares its level-2 anchor's holder set, so a
+  // replica holds whole subtrees — the co-location SubtreeOwnerMap gives
+  // the primary copy.
+  ElasticFunction ef(make_test_function(), 12, /*subtree_level=*/2,
+                     /*replication=*/3, 3);
   const mra::Key anchor = key1d(2, 3);
+  const auto anchor_holders = ef.holders(anchor);
+  EXPECT_EQ(anchor_holders.size(), 3u);
   mra::Key deep = anchor;
   for (int i = 0; i < 4; ++i) {
     deep = deep.child(0);
-    EXPECT_EQ(map.replicas_of(deep, 3), map.replicas_of(anchor, 3));
+    EXPECT_EQ(ef.holders(deep), anchor_holders);
+  }
+  for (const mra::Key& key : ef.store().keys()) {
+    mra::Key up = key;
+    while (up.level() > 2) up = up.parent();
+    EXPECT_EQ(ef.holders(key), ef.holders(up));
   }
 }
 
@@ -270,36 +285,6 @@ TEST(Checkpoint, LostLeavesCannotBeCheckpointed) {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated DistributedFunction
-// ---------------------------------------------------------------------------
-
-TEST(ReplicatedDistributedFunction, RebuildShardIsBitwise) {
-  const mra::Function f = make_test_function();
-  SubtreeOwnerMap owners(5, 2, 17);
-  DistributedFunction df(f, owners, /*replication=*/2);
-  for (std::size_t dead = 0; dead < 5; ++dead) {
-    DistributedFunction victim(f, owners, /*replication=*/2);
-    const std::size_t had = victim.leaves_on(dead);
-    const std::size_t restored = victim.rebuild_shard(dead);
-    EXPECT_EQ(restored, had);
-    EXPECT_EQ(victim.num_leaves(), f.num_leaves());
-    expect_bitwise_equal(victim.gather(), f);
-  }
-  EXPECT_EQ(df.replication(), 2u);
-}
-
-TEST(ReplicatedDistributedFunction, UnreplicatedRebuildIsTyped) {
-  SubtreeOwnerMap owners(4, 2, 1);
-  DistributedFunction df(make_test_function(), owners);
-  try {
-    df.rebuild_shard(1);
-    FAIL() << "expected FaultError";
-  } catch (const fault::FaultError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kDataLost);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // World recovery protocol
 // ---------------------------------------------------------------------------
 
@@ -392,10 +377,53 @@ TEST(ChurnDrill, FaultFreeRunMatchesSerialApplyClosely) {
                                                             base_config());
   EXPECT_GT(ref.stats.tasks, 0u);
   EXPECT_EQ(ref.stats.kills, 0u);
+  expect_bitwise_equal(ref.result, ops::apply(op, f));
+}
+
+// A Gaussian hugging the left edge and a periodic operator: most of the
+// kernel's images wrap across x = 0 onto another subtree.
+mra::Function edge_gaussian() {
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-8;
+  p.initial_level = 4;
+  auto f_fn = [](std::span<const double> x) {
+    const double u = (x[0] - 0.08) / 0.05;
+    return std::exp(-u * u);
+  };
+  return mra::Function::project(f_fn, p);
+}
+
+ops::SeparatedConvolution periodic_operator() {
+  ops::SeparatedConvolution::Params p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-9;
+  p.max_disp = 24;
+  p.periodic = true;
+  return {p, ops::single_gaussian(0.05)};
+}
+
+TEST(ChurnDrill, PeriodicKillAndReaddMatchesSerialApplyBitwise) {
+  const mra::Function f = edge_gaussian();
+  const ops::SeparatedConvolution op = periodic_operator();
   const mra::Function serial = ops::apply(op, f);
-  // Same math, different accumulation order: close but not bitwise.
-  EXPECT_LT(std::abs(ref.result.norm2() - serial.norm2()),
-            1e-10 * std::max(1.0, serial.norm2()));
+
+  const cluster::ChurnResult ref = cluster::run_churn_apply(op, f,
+                                                            base_config());
+  EXPECT_EQ(ref.stats.tasks, ops::make_apply_tasks(op, f).size());
+  expect_bitwise_equal(ref.result, serial);
+
+  cluster::ChurnConfig churn = base_config();
+  churn.events = {
+      {cluster::ChurnEvent::Kind::kKill, SimTime::micros(120.0), 1},
+      {cluster::ChurnEvent::Kind::kAdd, SimTime::micros(500.0), 1},
+  };
+  const cluster::ChurnResult churned = cluster::run_churn_apply(op, f, churn);
+  EXPECT_EQ(churned.stats.kills, 1u);
+  EXPECT_EQ(churned.stats.lost_leaves, 0u);
+  expect_bitwise_equal(churned.result, serial);
 }
 
 TEST(ChurnDrill, KillAndReaddMidApplyIsBitwise) {

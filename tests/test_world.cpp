@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "apps/coulomb.hpp"
@@ -250,6 +251,32 @@ mra::Function make_test_function() {
   return mra::Function::project(f_fn, p);
 }
 
+// A Gaussian hugging the left edge and a periodic operator: most of the
+// kernel's images wrap across x = 0, which a free-space neighbour lookup
+// would drop.
+mra::Function edge_gaussian() {
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-8;
+  p.initial_level = 4;
+  auto f_fn = [](std::span<const double> x) {
+    const double u = (x[0] - 0.08) / 0.05;
+    return std::exp(-u * u);
+  };
+  return mra::Function::project(f_fn, p);
+}
+
+ops::SeparatedConvolution periodic_operator() {
+  ops::SeparatedConvolution::Params p;
+  p.ndim = 1;
+  p.k = 8;
+  p.thresh = 1e-9;
+  p.max_disp = 24;
+  p.periodic = true;
+  return {p, ops::single_gaussian(0.05)};
+}
+
 TEST(WorldApply, MatchesSerialApply) {
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
@@ -271,19 +298,60 @@ TEST(WorldApply, MatchesSerialApply) {
 }
 
 TEST(WorldApply, MessageCountMatchesSingleThreadedDht) {
+  // distributed_apply prices the task list (one k^d-double message per task
+  // whose source and target owners differ); World counts the sends it
+  // really made. Both must agree for every owner map and for the periodic
+  // operator, whose wrapped targets cross ranks too.
+  const mra::Function free_f = make_test_function();
+  const auto free_op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  const mra::Function periodic_f = edge_gaussian();
+  const ops::SeparatedConvolution periodic_op = periodic_operator();
+  const dht::HashOwnerMap hash(6, 5);
+  const dht::SubtreeOwnerMap subtree(6, 2, 5);
+  for (const bool periodic : {false, true}) {
+    const mra::Function& f = periodic ? periodic_f : free_f;
+    const ops::SeparatedConvolution& op = periodic ? periodic_op : free_op;
+    const std::size_t tasks = ops::make_apply_tasks(op, f).size();
+    for (const dht::OwnerMap* owners :
+         {static_cast<const dht::OwnerMap*>(&hash),
+          static_cast<const dht::OwnerMap*>(&subtree)}) {
+      SCOPED_TRACE(std::string(periodic ? "periodic " : "free ") +
+                   (owners == &hash ? "hash" : "subtree"));
+      const dht::DistributedFunction df(f, *owners);
+      dht::CommStats comm;
+      dht::distributed_apply(op, df, nullptr, &comm);
+      World world(6);
+      world_apply(world, op, df);
+
+      EXPECT_EQ(comm.local_ops + comm.remote_ops, tasks);
+      EXPECT_GT(comm.messages, 0u);
+      EXPECT_EQ(world.stats().messages, comm.messages);
+      EXPECT_DOUBLE_EQ(world.stats().bytes, comm.bytes);
+    }
+  }
+}
+
+TEST(WorldApply, ApplyStatsAgreeWithSerialApply) {
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  dht::SubtreeOwnerMap owners(6, 2, 5);
+  ops::ApplyStats serial;
+  ops::apply(op, f, {}, &serial);
 
-  dht::DistributedFunction df1(f, owners);
-  dht::CommStats comm;
-  dht::distributed_apply(op, df1, nullptr, &comm);
+  dht::SubtreeOwnerMap owners(4, 2, 5);
+  dht::DistributedFunction df(f, owners);
+  ops::ApplyStats dht_stats;
+  dht::distributed_apply(op, df, &dht_stats);
+  World world(4);
+  ops::ApplyStats world_stats;
+  world_apply(world, op, df, &world_stats);
 
-  dht::DistributedFunction df2(f, owners);
-  World world(6);
-  world_apply(world, op, df2);
-
-  EXPECT_EQ(world.stats().messages, comm.messages);
+  EXPECT_GT(serial.tasks, 0u);
+  for (const ops::ApplyStats* s : {&dht_stats, &world_stats}) {
+    EXPECT_EQ(s->tasks, serial.tasks);
+    EXPECT_EQ(s->gemms, serial.gemms);
+    EXPECT_DOUBLE_EQ(s->flops, serial.flops);
+    EXPECT_EQ(s->rank_reduced_gemms, serial.rank_reduced_gemms);
+  }
 }
 
 TEST(WorldCompress, MatchesSerialCompressNodeByNode) {
@@ -460,32 +528,6 @@ TEST(WorldApply, RejectsRankMismatch) {
   dht::DistributedFunction df(f, owners);
   World world(3);
   EXPECT_THROW(world_apply(world, op, df), Error);
-}
-
-// A Gaussian hugging the left edge and a periodic operator: most of the
-// kernel's images wrap across x = 0, which a free-space neighbour lookup
-// would drop.
-mra::Function edge_gaussian() {
-  mra::FunctionParams p;
-  p.ndim = 1;
-  p.k = 8;
-  p.thresh = 1e-8;
-  p.initial_level = 4;
-  auto f_fn = [](std::span<const double> x) {
-    const double u = (x[0] - 0.08) / 0.05;
-    return std::exp(-u * u);
-  };
-  return mra::Function::project(f_fn, p);
-}
-
-ops::SeparatedConvolution periodic_operator() {
-  ops::SeparatedConvolution::Params p;
-  p.ndim = 1;
-  p.k = 8;
-  p.thresh = 1e-9;
-  p.max_disp = 24;
-  p.periodic = true;
-  return {p, ops::single_gaussian(0.05)};
 }
 
 TEST(WorldApply, PeriodicMatchesSerialApply) {
