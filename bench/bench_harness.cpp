@@ -11,6 +11,7 @@
 #include "common/diagnostics.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -28,28 +29,6 @@ namespace {
             << " [--json <path>] [--quick] [--seed <n>] [--repeats <n>]"
                " [--warmup <n>]\n";
   std::exit(2);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void write_number(std::ostream& os, double v) {
@@ -232,32 +211,41 @@ int Harness::finish() {
   if (json_path_.empty()) return 0;
 
   std::ostringstream os;
-  os << "{\n  \"bench\": \"" << json_escape(name_) << "\",\n"
-     << "  \"quick\": " << (quick_ ? "true" : "false") << ",\n"
+  os << "{\n  \"bench\": ";
+  obs::json::write_escaped(os, name_);
+  os << ",\n  \"quick\": " << (quick_ ? "true" : "false") << ",\n"
      << "  \"seed\": ";
   if (has_seed_) {
     os << seed_;
   } else {
     os << "null";
   }
-  os << ",\n  \"provenance\": {\n"
-     << "    \"git_sha\": \"" << json_escape(prov_git_sha()) << "\",\n"
-     << "    \"compiler\": \"" << json_escape(prov_compiler()) << "\",\n"
-     << "    \"cpu\": \"" << json_escape(prov_cpu()) << "\",\n"
-     << "    \"dispatch\": \"" << json_escape(prov_dispatch()) << "\",\n"
-     << "    \"hostname\": \"" << json_escape(prov_hostname()) << "\",\n"
-     << "    \"mh_env\": {";
+  os << ",\n  \"provenance\": {";
+  const std::pair<const char*, std::string> prov[] = {
+      {"git_sha", prov_git_sha()},     {"compiler", prov_compiler()},
+      {"cpu", prov_cpu()},             {"dispatch", prov_dispatch()},
+      {"hostname", prov_hostname()}};
+  for (const auto& [key, value] : prov) {
+    os << "\n    \"" << key << "\": ";
+    obs::json::write_escaped(os, value);
+    os << ",";
+  }
+  os << "\n    \"mh_env\": {";
   const auto mh_env = prov_mh_env();
   for (std::size_t i = 0; i < mh_env.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << json_escape(mh_env[i].first) << "\": \""
-       << json_escape(mh_env[i].second) << "\"";
+    if (i) os << ", ";
+    obs::json::write_escaped(os, mh_env[i].first);
+    os << ": ";
+    obs::json::write_escaped(os, mh_env[i].second);
   }
   os << "}\n  },\n  \"scalars\": [";
   for (std::size_t i = 0; i < scalars_.size(); ++i) {
     const ScalarRec& r = scalars_[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \"" << json_escape(r.name)
-       << "\", \"unit\": \"" << json_escape(r.unit) << "\", \"direction\": \""
-       << direction_str(r.direction)
+    os << (i ? ",\n    " : "\n    ") << "{\"name\": ";
+    obs::json::write_escaped(os, r.name);
+    os << ", \"unit\": ";
+    obs::json::write_escaped(os, r.unit);
+    os << ", \"direction\": \"" << direction_str(r.direction)
        << "\", \"gate\": " << (r.gate ? "true" : "false")
        << ", \"feasible\": " << (r.feasible ? "true" : "false")
        << ", \"value\": ";
@@ -271,9 +259,11 @@ int Harness::finish() {
   os << (scalars_.empty() ? "]" : "\n  ]") << ",\n  \"measures\": [";
   for (std::size_t i = 0; i < summaries_.size(); ++i) {
     const SummaryRec& r = summaries_[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \"" << json_escape(r.name)
-       << "\", \"unit\": \"" << json_escape(r.unit) << "\", \"direction\": \""
-       << direction_str(r.direction)
+    os << (i ? ",\n    " : "\n    ") << "{\"name\": ";
+    obs::json::write_escaped(os, r.name);
+    os << ", \"unit\": ";
+    obs::json::write_escaped(os, r.unit);
+    os << ", \"direction\": \"" << direction_str(r.direction)
        << "\", \"gate\": " << (r.gate ? "true" : "false")
        << ", \"count\": " << r.stats.count << ", \"mean\": ";
     write_number(os, r.stats.mean);

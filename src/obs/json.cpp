@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -231,6 +232,16 @@ void write_escaped(std::ostream& os, std::string_view s) {
     }
   }
   os << '"';
+}
+
+void write_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "0";
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, res.ptr - buf);
 }
 
 }  // namespace mh::obs::json

@@ -62,4 +62,8 @@ bool parse(std::string_view text, JsonValue* out, std::string* error);
 /// Escape and double-quote `s` as a JSON string.
 void write_escaped(std::ostream& os, std::string_view s);
 
+/// Write `v` in its shortest round-trip form (std::to_chars), so a reader
+/// parses back exactly the same double; non-finite values write "0".
+void write_number(std::ostream& os, double v);
+
 }  // namespace mh::obs::json

@@ -9,9 +9,11 @@
 //
 //   Counter   — monotonically increasing (batches dispatched, bytes moved);
 //   Gauge     — a level sampled in place (queue depth, split fraction);
-//   Histogram — log-bucketed distribution (batch sizes, task durations).
-//               The power-of-two bucketing is the one TraceSession::hist
-//               used; it is promoted here so both layers share it.
+//   Histogram — log-bucketed distribution (batch sizes, task durations),
+//               power-of-two buckets shared with telemetry rollups.
+//
+// This registry is the one instrument store: trace.hpp records spans only,
+// and components that trace an event count it here, not in the trace.
 //
 // Instruments are registered once (mutex) and updated lock-free (relaxed
 // atomics) — an update is one atomic RMW, cheap enough to leave always on.

@@ -8,13 +8,12 @@
 // the transport + state half of the live health plane (health.hpp holds
 // the detector/alert half):
 //
-//   TelemetryPublisher  — per-rank: diffs successive MetricsRegistry
-//                         snapshots and emits only what changed (counters
+//   ScenarioTelemetry   — per-rank delta encoder: scenarios (World,
+//                         clustersim churn/steal, serve) set per-rank
+//                         levels and running totals on their clock, and
+//                         each collect emits only what changed (counters
 //                         as increments, gauges as levels, histograms as
 //                         bucket-wise increments).
-//   ScenarioTelemetry   — the same delta encoding for simulation scenarios
-//                         that publish hand-computed per-rank values on the
-//                         simulated clock instead of owning registries.
 //   TelemetryAggregator — aggregator-rank state: an exact cluster rollup
 //                         (counters sum across ranks; gauges keep per-rank
 //                         lanes plus min/median/max; histograms merge
@@ -70,31 +69,9 @@ struct TelemetryDelta {
   double encoded_bytes() const;
 };
 
-/// Per-rank publisher over a MetricsRegistry: collect() snapshots the
-/// registry and emits only instruments that changed since the previous
-/// collect (first collect ships everything non-zero).
-class TelemetryPublisher {
- public:
-  explicit TelemetryPublisher(std::size_t rank, const MetricsRegistry& registry)
-      : rank_(rank), registry_(&registry) {}
-
-  TelemetryDelta collect(double time_s);
-
- private:
-  struct Baseline {
-    double value = 0.0;
-    HistogramSnapshot hist;
-  };
-
-  std::size_t rank_ = 0;
-  const MetricsRegistry* registry_;
-  std::uint64_t seq_ = 0;
-  std::map<std::string, Baseline> last_;
-};
-
-/// Delta encoder for scenarios with no per-rank registry (the clustersim
-/// steal and churn loops): the scenario sets current per-rank levels /
-/// running totals, and collect() ships one delta per rank that changed.
+/// Delta encoder for scenarios with no per-rank registry: the scenario
+/// sets current per-rank levels / running totals, and collect() ships one
+/// delta per rank that changed.
 class ScenarioTelemetry {
  public:
   explicit ScenarioTelemetry(std::size_t ranks)

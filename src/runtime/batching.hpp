@@ -106,10 +106,11 @@ class BatchingEngine {
     /// earliest_deadline - service_estimate - deadline_margin. Only
     /// consulted for items submitted with a deadline.
     std::chrono::microseconds deadline_margin{500};
-    /// Span/metrics sink; nullptr falls back to obs::TraceSession::current()
-    /// at construction (still tracing-off if that is null too).
+    /// Span sink; nullptr falls back to obs::TraceSession::current() at
+    /// construction (still tracing-off if that is null too).
     obs::TraceSession* trace = nullptr;
-    /// Metrics registry for counters/gauges; nullptr means the process
+    /// Metrics registry for counters, gauges and histograms (the one
+    /// store for the engine's scalar metrics); nullptr means the process
     /// registry (obs::MetricsRegistry::global()). Updates are relaxed
     /// atomics on the dispatch path only, so there is no off switch.
     obs::MetricsRegistry* metrics = nullptr;
@@ -648,9 +649,6 @@ class BatchingEngine {
          {"items", static_cast<double>(staged.items.size())},
          {"ncpu", static_cast<double>(staged.ncpu)}});
     if (trace_ != nullptr) {
-      trace_->counter_add("batching.batches", 1.0);
-      trace_->hist_record("batching.batch_items",
-                          static_cast<double>(staged.items.size()));
       // Many-to-one join: every member item's enqueue span feeds this batch
       // span (a single parent link cannot express the fan-in).
       for (const obs::TraceContext& ctx : staged.ctxs) {
@@ -910,7 +908,6 @@ class BatchingEngine {
       }
     }
     m_gpu_retries_.inc();
-    if (trace_ != nullptr) trace_->counter_add("fault.gpu_retries", 1.0);
     obs::ScopedSpan span(trace_, "gpu-retry-backoff", obs::Category::kOther,
                          {{"delay_ms", delay_ms}});
     std::this_thread::sleep_for(
@@ -921,7 +918,6 @@ class BatchingEngine {
   /// the breaker is now open (which short-circuits further retries).
   bool on_gpu_failure() {
     m_gpu_failures_.inc();
-    if (trace_ != nullptr) trace_->counter_add("fault.gpu_failures", 1.0);
     std::scoped_lock lock(mu_);
     ++stats_.gpu_failures;
     ++consecutive_gpu_failures_;
@@ -948,10 +944,6 @@ class BatchingEngine {
     ++stats_.breaker_closes;
     m_breaker_to_closed_.inc();
     m_breaker_state_.set(0.0);
-    if (trace_ != nullptr) {
-      trace_->counter_add("fault.breaker_transitions", 1.0);
-      trace_->hist_record("fault.breaker_open_seconds", open_for.count());
-    }
   }
 
   void open_breaker_locked() {
@@ -967,9 +959,6 @@ class BatchingEngine {
       breaker_ = BreakerState::kOpen;
       m_breaker_to_open_.inc();
       m_breaker_state_.set(1.0);
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.breaker_transitions", 1.0);
-      }
     }
     // Every failure while open restarts the cooldown clock.
     breaker_reprobe_at_ =
@@ -985,9 +974,6 @@ class BatchingEngine {
       probe_inflight_ = false;
       m_breaker_to_half_.inc();
       m_breaker_state_.set(0.5);
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.breaker_transitions", 1.0);
-      }
     }
   }
 
@@ -1003,10 +989,6 @@ class BatchingEngine {
         stats_.gpu_fallback_items += work->items.size();
       }
       m_fallback_items_.inc(static_cast<double>(work->items.size()));
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.cpu_fallback_items",
-                            static_cast<double>(work->items.size()));
-      }
       // Fallback items keep their provenance: the compute span on the CPU
       // side continues each item's original task chain.
       for (std::size_t i = 0; i < work->items.size(); ++i) {

@@ -276,24 +276,6 @@ TEST(TraceSession, SimDomainTotalsRespectTrackPrefix) {
   EXPECT_DOUBLE_EQ(wall[Category::kTransfer], 0.0);
 }
 
-TEST(TraceSession, CountersAccumulateAndHistogramsSummarize) {
-  TraceSession session;
-  session.counter_add("batches", 1.0);
-  session.counter_add("batches", 2.5);
-  EXPECT_DOUBLE_EQ(session.counter("batches"), 3.5);
-  EXPECT_DOUBLE_EQ(session.counter("missing"), 0.0);
-
-  session.hist_record("items", 4.0);
-  session.hist_record("items", 64.0);
-  session.hist_record("items", 1.0);
-  const HistSummary h = session.hist("items");
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.sum, 69.0);
-  EXPECT_DOUBLE_EQ(h.min, 1.0);
-  EXPECT_DOUBLE_EQ(h.max, 64.0);
-  EXPECT_EQ(session.hist("missing").count, 0u);
-}
-
 TEST(TraceSession, CurrentSessionInstallAndRestore) {
   ASSERT_EQ(TraceSession::current(), nullptr);
   TraceSession session;
@@ -318,8 +300,6 @@ TEST(TraceSession, ChromeTraceIsValidJsonWithBothClockDomains) {
   const auto sim = session.track(ClockDomain::kSim, "node0/phases");
   session.record_sim(sim, "kernels", Category::kGpuKernel, SimTime::micros(5),
                      SimTime::micros(25), {{"sms", 16.0}});
-  session.counter_add("batching.batches", 2.0);
-  session.hist_record("batching.batch_items", 60.0);
 
   std::ostringstream os;
   session.write_chrome_trace(os);
@@ -331,7 +311,6 @@ TEST(TraceSession, ChromeTraceIsValidJsonWithBothClockDomains) {
   EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
-  EXPECT_NE(json.find("batching.batches"), std::string::npos);
   EXPECT_NE(json.find("node0/phases"), std::string::npos);
 }
 
@@ -726,7 +705,9 @@ TEST(TraceExport, ControlCharactersInNamesAreEscaped) {
     ScopedSpan span(&session, "tick", Category::kOther);
   });
   t.join();
-  session.counter_add("ctr\nwith\rnewlines", 1.0);
+  {
+    ScopedSpan span(&session, "span\nwith\rnewlines", Category::kOther);
+  }
   std::ostringstream os;
   session.write_chrome_trace(os);
   const std::string json = os.str();
@@ -737,6 +718,35 @@ TEST(TraceExport, ControlCharactersInNamesAreEscaped) {
   ReadTrace trace;
   std::string error;
   EXPECT_TRUE(read_chrome_trace(is, &trace, &error)) << error;
+  bool found = false;
+  for (const ReadSpan& rs : trace.spans) {
+    found = found || rs.name == "span\nwith\rnewlines";
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(TraceExport, SimTimestampsRoundTripAtFullPrecision) {
+  // 12.8 s into a simulated run: six significant digits would round the
+  // start to 12,864,800 us and shift every span edge by up to 50 us.
+  TraceSession session;
+  Span span;
+  span.name = "kernel";
+  span.cat = Category::kGpuKernel;
+  span.domain = ClockDomain::kSim;
+  span.track = session.track(ClockDomain::kSim, "node0/gpu");
+  span.start_us = 12864787.6;
+  span.dur_us = 208.333;
+  session.record(span);
+
+  std::ostringstream os;
+  session.write_chrome_trace(os);
+  std::istringstream is(os.str());
+  ReadTrace trace;
+  std::string error;
+  ASSERT_TRUE(read_chrome_trace(is, &trace, &error)) << error;
+  ASSERT_EQ(trace.spans.size(), 1u);
+  EXPECT_EQ(trace.spans[0].start_us, 12864787.6);
+  EXPECT_EQ(trace.spans[0].dur_us, 208.333);
 }
 
 TEST(TraceExport, EngineRunKeepsTaskChainConnected) {
@@ -787,6 +797,46 @@ TEST(TraceExport, EngineRunKeepsTaskChainConnected) {
         << static_cast<int>(producer_cat);
   }
   EXPECT_EQ(posts, 100);
+}
+
+TEST(TraceExport, EngineBatchSpansMatchRegistryCounts) {
+  // One event, one store: the registry counts every batch the trace shows.
+  TraceSession session;
+  MetricsRegistry reg;
+  {
+    using Engine = rt::BatchingEngine<int, int>;
+    Engine::Config cfg;
+    cfg.cpu_threads = 2;
+    cfg.max_batch = 16;
+    cfg.flush_interval = std::chrono::milliseconds(1);
+    cfg.trace = &session;
+    cfg.metrics = &reg;
+    Engine engine(cfg);
+    const rt::KindId kind = engine.register_kind(
+        {[](const int& x) { return x + 1; },
+         [](std::span<const int> xs) {
+           std::vector<int> out;
+           for (int x : xs) out.push_back(x + 1);
+           return out;
+         },
+         [](int&&) {},
+         /*input_hash=*/0xba7cull});
+    // Five waves, each drained by wait(), so the run has several batches.
+    for (int wave = 0; wave < 5; ++wave) {
+      for (int i = 0; i < 20; ++i) engine.submit(kind, i);
+      engine.wait();
+    }
+  }  // engine joined: every batch span has been recorded
+
+  std::uint64_t batch_spans = 0;
+  for (const Span& s : session.snapshot()) {
+    if (std::string_view(s.name) == "batch") ++batch_spans;
+  }
+  EXPECT_GE(batch_spans, 5u);
+  EXPECT_EQ(reg.counter("mh_batching_batches_total").value(),
+            static_cast<double>(batch_spans));
+  EXPECT_EQ(reg.histogram("mh_batching_batch_items").snapshot().count,
+            batch_spans);
 }
 
 TEST(CriticalPath, AttributionTelescopesToSyntheticMakespan) {

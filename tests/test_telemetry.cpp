@@ -129,43 +129,6 @@ TEST(Telemetry, ScenarioDeltasShipOnlyChanges) {
   EXPECT_DOUBLE_EQ(deltas[0].updates[0].delta, 15.0);
 }
 
-TEST(Telemetry, PublisherDiffsRegistrySnapshots) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("mh_items_total");
-  Gauge& g = reg.gauge("mh_depth");
-  Histogram& h = reg.histogram("mh_latency");
-  c.inc(4.0);
-  g.set(2.0);
-  h.observe(8.0);
-
-  TelemetryPublisher pub(1, reg);
-  TelemetryDelta first = pub.collect(1.0);
-  EXPECT_EQ(first.rank, 1u);
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.updates.size(), 3u);
-
-  // Unchanged registry: nothing ships — an empty delta carries no seq at
-  // all (it is never sent), so idle can't be mistaken for loss.
-  EXPECT_TRUE(pub.collect(2.0).updates.empty());
-  EXPECT_EQ(pub.collect(3.0).seq, 0u);
-
-  c.inc(6.0);
-  h.observe(32.0);
-  const TelemetryDelta next = pub.collect(4.0);
-  EXPECT_EQ(next.seq, 2u);
-  ASSERT_EQ(next.updates.size(), 2u);
-  for (const TelemetryUpdate& u : next.updates) {
-    if (u.kind == MetricKind::kCounter) {
-      EXPECT_DOUBLE_EQ(u.delta, 6.0);  // increment since the last publish
-    } else {
-      ASSERT_EQ(u.kind, MetricKind::kHistogram);
-      EXPECT_EQ(u.hist.count, 1u);  // only the new observation
-      EXPECT_DOUBLE_EQ(u.hist.min, 8.0);   // cumulative extrema travel
-      EXPECT_DOUBLE_EQ(u.hist.max, 32.0);  // verbatim (monotone, exact)
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Rollup exactness
 
