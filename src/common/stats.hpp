@@ -3,13 +3,12 @@
 // Two sample models live here:
 //   - exact vectors of observations (RunningStat / percentile / summarize),
 //     the closed-loop bench path where every repeat is kept;
-//   - the log-bucketed HistogramSnapshot, the open-loop serving path where
-//     millions of request latencies are folded into 64 power-of-two buckets
-//     and quantiles (incl. p999) are interpolated from the bucket geometry.
-// The histogram geometry was born in obs/metrics.hpp; it lives here so the
-// bench harness and the serving layer can summarize open-loop latency
-// streams without depending on the metrics registry (obs re-exports the
-// names for its exporters and the telemetry rollup).
+//   - the log-bucketed HistogramSnapshot, where any number of observations
+//     are folded into 64 power-of-two buckets and quantiles (incl. p999)
+//     are interpolated from the bucket geometry.
+// The histogram geometry was born in obs/metrics.hpp and lives here so it
+// does not depend on the metrics registry; obs re-exports the names for
+// its exporters and the telemetry rollup, which are its only users.
 #pragma once
 
 #include <array>
@@ -78,7 +77,7 @@ struct HistogramSnapshot {
   /// two, so the clamp tightens the estimate at the extremes). q outside
   /// [0, 1] is clamped; returns 0 while count == 0.
   double quantile(double q) const noexcept;
-  /// The serving-SLO tail estimate the exporters publish.
+  /// The tail estimate the exporters publish.
   double p999() const noexcept { return quantile(0.999); }
 };
 

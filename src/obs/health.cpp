@@ -1,8 +1,10 @@
 #include "obs/health.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -20,7 +22,6 @@ bool is_per_rank(AlertRule::Kind kind) {
     case AlertRule::Kind::kRankDead:
     case AlertRule::Kind::kSendRetryStorm:
     case AlertRule::Kind::kBreakerOpen:
-    case AlertRule::Kind::kSloBurn:
       return true;
     case AlertRule::Kind::kReplicationLow:
     case AlertRule::Kind::kStealThrash:
@@ -40,7 +41,6 @@ const char* alert_span_name(AlertRule::Kind kind) {
     case AlertRule::Kind::kReplicationLow: return "alert:replication_low";
     case AlertRule::Kind::kBreakerOpen: return "alert:breaker_open";
     case AlertRule::Kind::kStealThrash: return "alert:steal_thrash";
-    case AlertRule::Kind::kSloBurn: return "alert:slo_burn";
   }
   return "alert";
 }
@@ -136,10 +136,7 @@ bool HealthMonitor::condition(const AlertRule& rule,
       *value = stats.min;
       return *value < rule.threshold;
     }
-    case AlertRule::Kind::kBreakerOpen:
-    case AlertRule::Kind::kSloBurn: {
-      // Same shape: a per-rank (per-tenant, for SLO burn) gauge lane at or
-      // above the threshold.
+    case AlertRule::Kind::kBreakerOpen: {
       const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
       if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
         return false;
@@ -503,6 +500,21 @@ bool telemetry_enabled_from_env() {
   return !s.empty() && s != "0" && s != "off" && s != "false";
 }
 
+namespace {
+
+// A dashboard count field as an integer, or nullopt when it is negative,
+// fractional or past the range of std::uint64_t: casting such a double to
+// an integer is undefined behaviour.
+std::optional<std::uint64_t> count_field(const json::JsonValue& root,
+                                         std::string_view key) {
+  constexpr double kEnd = 18446744073709551616.0;  // 2^64
+  const double v = root.num(key);
+  if (!(v >= 0.0 && v < kEnd && v == std::floor(v))) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
+}  // namespace
+
 DashboardCheck check_dashboard_text(const std::string& text) {
   DashboardCheck out;
   json::JsonValue root;
@@ -519,14 +531,19 @@ DashboardCheck check_dashboard_text(const std::string& text) {
     out.problems.push_back("missing or unknown schema marker");
   }
   out.time_s = root.num("time_s");
-  out.ticks = static_cast<std::uint64_t>(root.num("ticks"));
-  out.ranks = static_cast<std::size_t>(root.num("ranks"));
-  const auto ring_capacity =
-      static_cast<std::size_t>(root.num("ring_capacity"));
-  if (out.ranks == 0) out.problems.push_back("ranks must be >= 1");
-  if (ring_capacity == 0) {
-    out.problems.push_back("ring_capacity must be >= 1");
+  const auto ticks = count_field(root, "ticks");
+  const auto ranks = count_field(root, "ranks");
+  const auto capacity = count_field(root, "ring_capacity");
+  if (!ticks) out.problems.push_back("ticks must be an integer >= 0");
+  if (ranks.value_or(0) == 0) {
+    out.problems.push_back("ranks must be an integer >= 1");
   }
+  if (capacity.value_or(0) == 0) {
+    out.problems.push_back("ring_capacity must be an integer >= 1");
+  }
+  out.ticks = ticks.value_or(0);
+  out.ranks = ranks.value_or(0);
+  const std::size_t ring_capacity = capacity.value_or(0);
 
   const json::JsonValue* instruments = root.find("instruments");
   if (instruments == nullptr ||

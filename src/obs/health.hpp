@@ -64,12 +64,6 @@ struct AlertRule {
     /// Steals are mostly denied: denied / requested >= `threshold` over a
     /// tick, with at least `kStealThrashMinRequests` requests.
     kStealThrash,
-    /// A tenant is burning its latency SLO: the serving layer publishes
-    /// each tenant's burn rate (fraction of requests over deadline in the
-    /// last window, lane index = tenant) and this fires when a lane is
-    /// >= `threshold`. Instrument: per-rank gauge lanes
-    /// (mh_serve_slo_burn by convention; see serve_rules()).
-    kSloBurn,
   };
 
   Kind kind = Kind::kStraggler;

@@ -40,9 +40,8 @@
 namespace mh::obs {
 
 // The log-bucketed histogram geometry (bucket index = frexp exponent + 31,
-// range 2^-31 .. 2^32) lives in common/stats.hpp so benches and the serving
-// layer can summarize open-loop latency streams without this registry; the
-// names are re-exported here because every obs consumer spells them
+// range 2^-31 .. 2^32) lives in common/stats.hpp, outside this registry;
+// the names are re-exported here because every obs consumer spells them
 // obs::HistogramSnapshot / obs::merge.
 using mh::kHistogramBuckets;
 using mh::log_bucket_index;

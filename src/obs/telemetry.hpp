@@ -9,7 +9,7 @@
 // the detector/alert half):
 //
 //   ScenarioTelemetry   — per-rank delta encoder: scenarios (World,
-//                         clustersim churn/steal, serve) set per-rank
+//                         clustersim churn/steal) set per-rank
 //                         levels and running totals on their clock, and
 //                         each collect emits only what changed (counters
 //                         as increments, gauges as levels, histograms as

@@ -26,7 +26,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
-#include "serve/serve.hpp"
 #include "world/world.hpp"
 
 namespace mh::obs {
@@ -290,35 +289,39 @@ TEST(Health, HysteresisDebouncesFireAndResolve) {
 }
 
 // ---------------------------------------------------------------------------
-// SLO burn (the serving plane's rule; tenant index is the lane "rank")
+// Per-rank gauge-lane rule (kBreakerOpen): debounce, hysteresis, lane scope
 
-TEST(Health, SloBurnRuleFiresAndResolvesWithHysteresis) {
-  // serve_rules(): mh_serve_slo_burn >= 0.5, 2 ticks to fire, 3 clean
-  // ticks to resolve.
-  HealthMonitor monitor({serve::serve_rules(), nullptr, nullptr, 256});
+// mh_fault_breaker_state >= 0.5 (half-open counts), 2 ticks to fire, 3 clean
+// ticks to resolve.
+std::vector<AlertRule> breaker_rules() {
+  return {{AlertRule::Kind::kBreakerOpen, "breaker_open",
+           "mh_fault_breaker_state", "", 0.5, 2, 3}};
+}
+
+TEST(Health, BreakerOpenRuleFiresAndResolvesWithHysteresis) {
+  HealthMonitor monitor({breaker_rules(), nullptr, nullptr, 256});
   TelemetryAggregator agg({4, 128});
   ScenarioTelemetry tel(4);
 
-  const auto tick = [&](double t, double burn_b) {
-    tel.gauge(1, "mh_serve_slo_burn", burn_b);
+  const auto tick = [&](double t, double state_b) {
+    tel.gauge(1, "mh_fault_breaker_state", state_b);
     for (const std::size_t lane : {0u, 2u, 3u}) {
-      tel.gauge(lane, "mh_serve_slo_burn", 0.0);
+      tel.gauge(lane, "mh_fault_breaker_state", 0.0);
     }
     for (const auto& d : tel.collect(t)) agg.ingest(d);
     agg.commit(t);
     return monitor.evaluate(agg, t);
   };
 
-  // One bad tick is pending, not firing (a single window with a miss burst
-  // must not page).
-  EXPECT_TRUE(tick(1.0, 0.9).empty());
-  // The second consecutive bad tick fires, on the burning tenant's lane.
-  auto events = tick(2.0, 0.9);
+  // One bad tick is pending, not firing (a single-tick trip must not page).
+  EXPECT_TRUE(tick(1.0, 1.0).empty());
+  // The second consecutive bad tick fires, on the tripped rank's lane.
+  auto events = tick(2.0, 1.0);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].state, AlertState::kFiring);
-  EXPECT_EQ(events[0].rule, "slo_burn");
+  EXPECT_EQ(events[0].rule, "breaker_open");
   EXPECT_EQ(events[0].rank, 1u);
-  // Exactly at threshold still counts as burning (>=).
+  // Exactly at threshold (half-open) still counts as breached (>=).
   EXPECT_TRUE(tick(3.0, 0.5).empty());
   // Two clean ticks are not enough to resolve (resolve_ticks = 3)...
   EXPECT_TRUE(tick(4.0, 0.0).empty());
@@ -330,16 +333,16 @@ TEST(Health, SloBurnRuleFiresAndResolvesWithHysteresis) {
   EXPECT_TRUE(monitor.active().empty());
 }
 
-TEST(Health, SloBurnRuleScopesToTheBurningTenant) {
-  // Tenant lanes are independent alerts: one tenant burning its SLO
-  // budget must not page the others.
-  HealthMonitor monitor({serve::serve_rules(), nullptr, nullptr, 256});
+TEST(Health, BreakerOpenRuleScopesToTheTrippedRank) {
+  // Rank lanes are independent alerts: one rank's open breaker must not
+  // page the others.
+  HealthMonitor monitor({breaker_rules(), nullptr, nullptr, 256});
   TelemetryAggregator agg({4, 128});
   ScenarioTelemetry tel(4);
 
   for (int t = 1; t <= 3; ++t) {
     for (std::size_t lane = 0; lane < 4; ++lane) {
-      tel.gauge(lane, "mh_serve_slo_burn", lane == 2 ? 1.0 : 0.1);
+      tel.gauge(lane, "mh_fault_breaker_state", lane == 2 ? 1.0 : 0.1);
     }
     for (const auto& d : tel.collect(t)) agg.ingest(d);
     agg.commit(t);
@@ -347,7 +350,7 @@ TEST(Health, SloBurnRuleScopesToTheBurningTenant) {
   }
   const auto active = monitor.active();
   ASSERT_EQ(active.size(), 1u);
-  EXPECT_EQ(active[0].rule, "slo_burn");
+  EXPECT_EQ(active[0].rule, "breaker_open");
   EXPECT_EQ(active[0].rank, 2u);
   EXPECT_EQ(active[0].state, AlertState::kFiring);
   ASSERT_EQ(monitor.history().size(), 1u);
@@ -396,6 +399,29 @@ TEST(Health, DashboardRoundTripsThroughTheChecker) {
   ASSERT_NE(at, std::string::npos);
   wrong_schema.replace(at, 15, "mh_dashboard_v9");
   EXPECT_FALSE(check_dashboard_text(wrong_schema).ok);
+  // Count fields that no integer type can hold (negative, fractional, past
+  // 2^64) are named problems, not an undefined float-to-integer cast.
+  const auto with_field = [&](const std::string& field,
+                              const std::string& value) {
+    std::string damaged = doc;
+    const std::string key = "\"" + field + "\": ";
+    const auto pos = damaged.find(key);
+    EXPECT_NE(pos, std::string::npos) << field;
+    const auto end = damaged.find(',', pos);
+    damaged.replace(pos + key.size(), end - pos - key.size(), value);
+    return check_dashboard_text(damaged);
+  };
+  for (const std::string field : {"ticks", "ranks", "ring_capacity"}) {
+    for (const std::string value : {"-1", "2.5", "1e30"}) {
+      const DashboardCheck bad = with_field(field, value);
+      EXPECT_FALSE(bad.ok) << field << "=" << value;
+      const bool named = std::any_of(
+          bad.problems.begin(), bad.problems.end(),
+          [&](const std::string& p) { return p.rfind(field + " ", 0) == 0; });
+      EXPECT_TRUE(named) << field << "=" << value;
+    }
+  }
+  EXPECT_EQ(with_field("ranks", "3").ranks, 3u);
 }
 
 // ---------------------------------------------------------------------------
