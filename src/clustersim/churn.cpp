@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
-#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 
 namespace mh::cluster {
@@ -41,20 +39,7 @@ double tensor_bytes(const Tensor& t) {
 
 ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
                             const mra::Function& f,
-                            const ChurnConfig& config_in) {
-  ChurnConfig config = config_in;
-  // MH_TELEMETRY=1 arms an ambient plane on any churn run that didn't
-  // install one explicitly; MH_DASHBOARD=path adds the live dashboard
-  // file. The plane is an observer on the simulated clock, so arming it
-  // from the environment cannot change the run's results.
-  std::unique_ptr<obs::HealthPlane> env_plane;
-  if (config.health == nullptr && obs::telemetry_enabled_from_env()) {
-    obs::HealthPlane::Config env_cfg;
-    env_cfg.ranks = config.ranks;
-    env_cfg.dashboard_path = obs::dashboard_path_from_env();
-    env_plane = std::make_unique<obs::HealthPlane>(env_cfg);
-    config.health = env_plane.get();
-  }
+                            const ChurnConfig& config) {
   MH_CHECK(config.ranks >= 1, "churn run needs at least one rank");
   MH_CHECK(op.params().ndim == f.params().ndim &&
                op.params().k == f.params().k,
@@ -104,37 +89,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
 
   std::string last_checkpoint;
   std::size_t completed = 0;
-
-  // Live health plane: per-rank lanes are keyed by *original* rank ids so
-  // a kill/re-add pair flips one lane 1 -> 0 -> 1 even if restarts
-  // renumber the world underneath. The minimum replica count is published
-  // from the degraded store before repair runs, which is what lets the
-  // replication-below-R alert fire inside the kill-to-repair window on
-  // the simulated clock.
-  std::unique_ptr<obs::ScenarioTelemetry> tel;
-  double health_time = 0.0;
-  const auto publish_health = [&](SimTime at) {
-    if (config.health == nullptr) return;
-    for (std::size_t orig = 0; orig < config.ranks; ++orig) {
-      const std::size_t cur = orig_to_cur[orig];
-      const bool alive =
-          cur != kNoRank && cur < queues.size() && ef.store().alive(cur);
-      tel->gauge(orig, "mh_rank_alive", alive ? 1.0 : 0.0);
-      tel->gauge(orig, "mh_rank_queue_depth",
-                 alive ? static_cast<double>(queues[cur].size()) : 0.0);
-    }
-    tel->gauge(0, "mh_replication_min_copies",
-               static_cast<double>(
-                   std::min(ef.store().min_copies(), ledger.min_copies())));
-    tel->counter(0, "mh_churn_tasks_executed",
-                 static_cast<double>(stats.tasks));
-    health_time = std::max(health_time, at.sec());
-    config.health->tick(tel->collect(health_time), health_time);
-  };
-  if (config.health != nullptr) {
-    tel = std::make_unique<obs::ScenarioTelemetry>(config.ranks);
-    publish_health(SimTime::zero());
-  }
 
   const auto run_task = [&](std::size_t rank, std::uint64_t id) {
     if (ledger.contains(id)) return;  // exactly-once: a re-homed duplicate
@@ -294,9 +248,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
       const auto ledger_report = ledger.kill(cur);
       std::vector<std::uint64_t> orphans = std::move(queues[cur]);
       queues[cur].clear();
-      // Degraded-state tick: the store has lost copies but repair has not
-      // run yet, so rank-death and replication-below-R fire here.
-      publish_health(event.at);
       if (lost > 0) {
         stats.lost_leaves += lost;
         if (last_checkpoint.empty()) {
@@ -310,7 +261,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
                   "exists");
         }
         restart_from_checkpoint(event.at);
-        publish_health(event.at);
         return;
       }
       repair_all(event.at, "promote_replicas");
@@ -327,9 +277,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
         queues[ef.owner(tasks[id].source)].push_back(id);
         ++stats.reexecuted_tasks;
       }
-      // Post-repair tick: replicas are back at full strength, so
-      // replication-below-R resolves (the dead rank's lane stays down).
-      publish_health(event.at);
     } else {
       ++stats.revives;
       std::size_t rank = cur;
@@ -351,9 +298,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
       // and nothing else, so it never double-owns an entry.
       repair_all(event.at, "rebalance_rejoin");
       stats.rehomed_tasks += rehome_queues();
-      // Rejoin tick: the revived rank's liveness lane flips back to 1 and
-      // any rank-death alert on it resolves.
-      publish_health(event.at);
     }
   };
 
@@ -385,10 +329,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
         completed % config.checkpoint_every == 0) {
       take_checkpoint(clocks[run_rank]);
     }
-    if (config.health != nullptr && config.telemetry_every > 0 &&
-        completed % config.telemetry_every == 0) {
-      publish_health(clocks[run_rank]);
-    }
   }
 
   // Completeness scrub: write-through copies dropped by injected send
@@ -411,7 +351,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
   }
 
   for (const SimTime t : clocks) stats.makespan = max(stats.makespan, t);
-  publish_health(stats.makespan);
 
   // Final reduction in ascending task-id order: the one order every churn
   // script shares. This is what makes the result bitwise-reproducible.

@@ -33,10 +33,6 @@
 #include "obs/trace.hpp"
 #include "ops/apply.hpp"
 
-namespace mh::obs {
-class HealthPlane;
-}
-
 namespace mh::cluster {
 
 struct ChurnEvent {
@@ -69,15 +65,6 @@ struct ChurnConfig {
   /// Simulated-time span sink for recovery spans; nullptr falls back to
   /// obs::TraceSession::current(). Non-owning.
   obs::TraceSession* trace = nullptr;
-  /// Live health plane on the simulated clock: when non-null the scenario
-  /// publishes per-rank liveness and queue depth plus the stores' minimum
-  /// replica count — once at start, around every churn event (after the
-  /// kill degrades the store, again after repair), and every
-  /// `telemetry_every` completed tasks — so a kill fires rank-death and
-  /// replication-below-R alerts *between* the kill and its repair, and
-  /// both resolve on the recovery path. Non-owning.
-  obs::HealthPlane* health = nullptr;
-  std::size_t telemetry_every = 16;
 };
 
 struct ChurnStats {

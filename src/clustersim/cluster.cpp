@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
-#include <memory>
 
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
-#include "obs/health.hpp"
 #include "runtime/dispatch.hpp"
 
 namespace mh::cluster {
@@ -513,38 +511,6 @@ StealScheduleResult run_cluster_apply_stealing(
     home.pending += sizes[g];
   }
 
-  // Live health plane: per-node queue depth / progress and the steal
-  // counters ship as delta-encoded snapshots on the simulated clock, once
-  // at placement time and once after every executed group — the straggler
-  // rule sees depths diverge from the cluster median while the run is
-  // still in flight.
-  std::unique_ptr<obs::ScenarioTelemetry> tel;
-  double tick_time = 0.0;
-  const auto publish_health = [&](double at) {
-    if (config.health == nullptr) return;
-    for (std::size_t i = 0; i < nodes; ++i) {
-      tel->gauge(i, "mh_rank_alive", 1.0);
-      tel->gauge(i, "mh_rank_queue_depth",
-                 static_cast<double>(ns[i].pending));
-      tel->counter(i, "mh_rank_tasks_executed",
-                   static_cast<double>(out.executed[i]));
-    }
-    tel->counter(0, "mh_steal_requests",
-                 static_cast<double>(out.steals.attempts));
-    tel->counter(0, "mh_steal_grants",
-                 static_cast<double>(out.steals.steals));
-    tel->counter(0, "mh_steal_denials",
-                 static_cast<double>(out.steals.attempts - out.steals.steals));
-    // Node clocks run at their own pace; the detector tick advances on the
-    // latest time observed so the alert timeline stays monotone.
-    tick_time = std::max(tick_time, at);
-    config.health->tick(tel->collect(tick_time), tick_time);
-  };
-  if (config.health != nullptr) {
-    tel = std::make_unique<obs::ScenarioTelemetry>(nodes);
-    publish_health(0.0);
-  }
-
   const double est = estimate_task_seconds(workload, config);
   const double msg_bytes = workload.shape.tensor_bytes();
   const std::size_t cap =
@@ -734,7 +700,6 @@ StealScheduleResult run_cluster_apply_stealing(
     n.t += dur;
     n.pending -= sizes[g];
     out.executed[next] += sizes[g];
-    publish_health(n.t.sec());
   }
 
   // Comm tails and result assembly. load_imbalance reports the *achieved*
@@ -764,7 +729,6 @@ StealScheduleResult run_cluster_apply_stealing(
       result.slowest_breakdown = n.breakdown;
     }
   }
-  publish_health(result.makespan.sec());
   return out;
 }
 

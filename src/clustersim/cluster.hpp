@@ -28,10 +28,6 @@
 #include "gpusim/gpu_executor.hpp"
 #include "obs/trace.hpp"
 
-namespace mh::obs {
-class HealthPlane;
-}
-
 namespace mh::cluster {
 
 struct NodeSpec {
@@ -75,14 +71,6 @@ struct ClusterConfig {
   /// simulated rank, stitched afterwards with
   /// obs::write_merged_chrome_trace. Non-owning.
   std::vector<obs::TraceSession*> node_traces;
-
-  /// Live health plane on the simulated clock: when non-null the
-  /// steal-enabled scheduler publishes per-node telemetry (queue depth,
-  /// liveness, executed tasks, steal counters) after every executed group
-  /// and runs one detector tick, so stragglers are flagged *while* the
-  /// simulated run is in flight — not from the trace afterwards.
-  /// Non-owning.
-  obs::HealthPlane* health = nullptr;
 };
 
 /// Where one node's wall time went (aggregated over its batches).

@@ -36,71 +36,6 @@ double percentile(std::vector<double> xs, double p) {
   return xs[rank == 0 ? 0 : rank - 1];
 }
 
-std::size_t log_bucket_index(double value) noexcept {
-  int exp = 0;
-  std::frexp(std::max(value, 0.0), &exp);
-  return static_cast<std::size_t>(std::clamp(exp + 31, 0, 63));
-}
-
-double log_bucket_upper(std::size_t index) noexcept {
-  return std::ldexp(1.0, static_cast<int>(index) - 31);
-}
-
-void HistogramSnapshot::observe(double value) noexcept {
-  if (count == 0) {
-    min = max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  ++count;
-  sum += value;
-  ++buckets[log_bucket_index(value)];
-}
-
-double HistogramSnapshot::quantile(double q) const noexcept {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target observation (1-based, rounded up): the smallest
-  // bucket whose cumulative count reaches it holds the quantile.
-  const double target = std::max(1.0, q * static_cast<double>(count));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    if (buckets[i] == 0) continue;
-    const double reached = static_cast<double>(cum + buckets[i]);
-    if (reached >= target) {
-      // Linear interpolation across the bucket's value range by the
-      // fraction of its population below the target rank.
-      const double lower = i == 0 ? 0.0 : log_bucket_upper(i - 1);
-      const double upper = log_bucket_upper(i);
-      const double frac =
-          (target - static_cast<double>(cum)) /
-          static_cast<double>(buckets[i]);
-      return std::clamp(lower + frac * (upper - lower), min, max);
-    }
-    cum += buckets[i];
-  }
-  return max;
-}
-
-HistogramSnapshot merge(const HistogramSnapshot& a,
-                        const HistogramSnapshot& b) noexcept {
-  // An empty side contributes nothing; returning the other side verbatim
-  // keeps the count==0 min/max convention (0 placeholders) from polluting
-  // the real extrema.
-  if (a.count == 0) return b;
-  if (b.count == 0) return a;
-  HistogramSnapshot out;
-  out.count = a.count + b.count;
-  out.sum = a.sum + b.sum;
-  out.min = std::min(a.min, b.min);
-  out.max = std::max(a.max, b.max);
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    out.buckets[i] = a.buckets[i] + b.buckets[i];
-  }
-  return out;
-}
-
 SampleSummary summarize(const std::vector<double>& xs) {
   SampleSummary s;
   if (xs.empty()) return s;
@@ -116,23 +51,6 @@ SampleSummary summarize(const std::vector<double>& xs) {
   s.p99 = percentile(xs, 99.0);
   s.p999 = percentile(xs, 99.9);
   s.cov = s.mean != 0.0 ? s.stddev / s.mean : 0.0;
-  return s;
-}
-
-SampleSummary summarize(const HistogramSnapshot& h) {
-  SampleSummary s;
-  if (h.count == 0) return s;
-  s.count = h.count;
-  s.mean = h.sum / static_cast<double>(h.count);
-  s.min = h.min;
-  s.max = h.max;
-  s.p50 = h.quantile(0.50);
-  s.p95 = h.quantile(0.95);
-  s.p99 = h.quantile(0.99);
-  s.p999 = h.quantile(0.999);
-  // Second moments are not recoverable from the bucket geometry.
-  s.stddev = 0.0;
-  s.cov = 0.0;
   return s;
 }
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -125,9 +124,7 @@ class ReplicatedStore {
         continue;  // this copy is lost on the wire; self-heals later
       }
       comm_.record(from_rank, to, bytes);
-      if (shards_[to].insert_or_assign(key, value).second) {
-        bump_copies(key, +1);
-      }
+      shards_[to].insert_or_assign(key, value);
     }
   }
 
@@ -158,19 +155,6 @@ class ReplicatedStore {
   }
   std::size_t size() const { return keys().size(); }
 
-  /// Fewest live copies over every present entry (replication() when the
-  /// store is empty) — the health plane's replication-below-R signal:
-  /// after a kill and before repair, entries that lost a copy pull this
-  /// below R; repair restores it. O(1): every shard mutation maintains a
-  /// copies -> key-count histogram, so the telemetry plane can poll this
-  /// every tick without a full store scan (dead shards are always empty —
-  /// kill() clears, revive() requires empty — so counting shard membership
-  /// counts exactly the live copies).
-  std::size_t min_copies() const {
-    if (count_hist_.empty()) return replication_;
-    return count_hist_.begin()->first;
-  }
-
   struct KillReport {
     std::size_t dropped_copies = 0;  ///< entries the dead rank held
     std::vector<K> lost;  ///< entries with no surviving live copy
@@ -191,7 +175,6 @@ class ReplicatedStore {
         survives = alive_[other] && shards_[other].contains(k);
       }
       if (!survives) report.lost.push_back(k);
-      bump_copies(k, -1);
     }
     shards_[rank].clear();
     return report;
@@ -237,7 +220,6 @@ class ReplicatedStore {
       for (const std::size_t rank : desired) {
         if (shards_[rank].contains(key)) continue;
         shards_[rank].insert_or_assign(key, *source);
-        bump_copies(key, +1);
         ++stats.copied;
         ++stats.messages;
         stats.bytes += bytes_per_entry;
@@ -247,9 +229,7 @@ class ReplicatedStore {
       }
       for (std::size_t rank = 0; rank < ranks(); ++rank) {
         if (!alive_[rank] || want.contains(rank)) continue;
-        const std::size_t erased = shards_[rank].erase(key);
-        if (erased != 0) bump_copies(key, -1);
-        stats.dropped += erased;
+        stats.dropped += shards_[rank].erase(key);
       }
     }
     return stats;
@@ -274,26 +254,6 @@ class ReplicatedStore {
   std::size_t dropped_writes() const noexcept { return dropped_writes_; }
 
  private:
-  // Incremental copy accounting behind min_copies(): per-key live-copy
-  // count plus a copies -> #keys histogram. A key at zero copies leaves
-  // both maps (it is no longer a present entry).
-  void bump_copies(const K& key, int delta) {
-    const auto it = copy_count_.find(key);
-    const std::size_t old_count = it == copy_count_.end() ? 0 : it->second;
-    MH_CHECK(delta > 0 || old_count > 0, "copy count underflow");
-    const std::size_t new_count = old_count + static_cast<std::size_t>(delta);
-    if (old_count != 0) {
-      const auto h = count_hist_.find(old_count);
-      if (--h->second == 0) count_hist_.erase(h);
-    }
-    if (new_count != 0) {
-      ++count_hist_[new_count];
-      copy_count_[key] = new_count;
-    } else {
-      copy_count_.erase(key);
-    }
-  }
-
   std::vector<std::unordered_map<K, V, Hash>> shards_;
   std::vector<bool> alive_;
   std::size_t replication_;
@@ -301,8 +261,6 @@ class ReplicatedStore {
   PlacementFn placement_;
   CommStats comm_;
   std::size_t dropped_writes_ = 0;
-  std::unordered_map<K, std::size_t, Hash> copy_count_;
-  std::map<std::size_t, std::size_t> count_hist_;
 };
 
 /// A multiresolution function held R-way replicated over simulated ranks,

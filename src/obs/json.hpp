@@ -1,13 +1,15 @@
-// Minimal shared JSON DOM + strict parser.
+// Minimal shared JSON DOM + strict parser, plus the number/string writers
+// the trace, metrics and bench exporters share.
 //
-// Grown out of the trace reader's private parser once the health plane
-// needed to load dashboard files with the same code that validates them in
-// CI (tools/mh_health --check). Numbers are doubles — nothing we serialize
-// needs more than 2^53 integer precision — and non-finite numbers are
-// rejected on input, which is what makes the bench/dashboard validators
-// able to promise "every value in this file is finite".
+// The parser reads the trace files that mh_trace_analyze and mh_trace_diff
+// take from outside (obs/trace_reader.hpp), so it treats its input as
+// untrusted: it rejects trailing data, unescaped control characters and
+// non-finite numbers, and bounds nesting depth so a hostile document fails
+// with an error instead of overflowing the stack. Numbers are doubles —
+// nothing we serialize needs more than 2^53 integer precision.
 #pragma once
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -32,8 +34,13 @@ struct JsonValue {
   std::string_view text(std::string_view key) const;
 };
 
+/// Deepest array/object nesting the parser accepts. A Chrome trace nests
+/// about 4 levels; the bound only has to stop recursion from exhausting
+/// the stack.
+inline constexpr std::size_t kMaxDepth = 512;
+
 /// Strict single-document parser: rejects trailing data, unescaped control
-/// characters, and non-finite numbers.
+/// characters, non-finite numbers, and nesting deeper than kMaxDepth.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view input) : in_(input) {}
@@ -53,6 +60,7 @@ class JsonParser {
 
   std::string_view in_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
   std::string error_;
 };
 

@@ -7,6 +7,41 @@
 
 namespace mh::obs {
 
+std::size_t log_bucket_index(double value) noexcept {
+  int exp = 0;
+  std::frexp(std::max(value, 0.0), &exp);
+  return static_cast<std::size_t>(std::clamp(exp + 31, 0, 63));
+}
+
+double log_bucket_upper(std::size_t index) noexcept {
+  return std::ldexp(1.0, static_cast<int>(index) - 31);
+}
+
+double HistogramSnapshot::quantile(double q) const noexcept {
+  if (count == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Rank of the target observation (1-based, rounded up): the smallest
+  // bucket whose cumulative count reaches it holds the quantile.
+  const double target = std::max(1.0, q * static_cast<double>(count));
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+    if (buckets[i] == 0) continue;
+    const double reached = static_cast<double>(cum + buckets[i]);
+    if (reached >= target) {
+      // Linear interpolation across the bucket's value range by the
+      // fraction of its population below the target rank.
+      const double lower = i == 0 ? 0.0 : log_bucket_upper(i - 1);
+      const double upper = log_bucket_upper(i);
+      const double frac =
+          (target - static_cast<double>(cum)) /
+          static_cast<double>(buckets[i]);
+      return std::clamp(lower + frac * (upper - lower), min, max);
+    }
+    cum += buckets[i];
+  }
+  return max;
+}
+
 void Histogram::observe(double value) noexcept {
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = min_.load(std::memory_order_relaxed);

@@ -10,7 +10,7 @@
 //   Counter   — monotonically increasing (batches dispatched, bytes moved);
 //   Gauge     — a level sampled in place (queue depth, split fraction);
 //   Histogram — log-bucketed distribution (batch sizes, task durations),
-//               power-of-two buckets shared with telemetry rollups.
+//               power-of-two buckets with interpolated quantiles.
 //
 // This registry is the one instrument store: trace.hpp records spans only,
 // and components that trace an event count it here, not in the trace.
@@ -35,19 +35,34 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace mh::obs {
 
-// The log-bucketed histogram geometry (bucket index = frexp exponent + 31,
-// range 2^-31 .. 2^32) lives in common/stats.hpp, outside this registry;
-// the names are re-exported here because every obs consumer spells them
-// obs::HistogramSnapshot / obs::merge.
-using mh::kHistogramBuckets;
-using mh::log_bucket_index;
-using mh::log_bucket_upper;
-using mh::HistogramSnapshot;
-using mh::merge;
+// --- log-bucketed histogram geometry ---------------------------------------
+// Bucket i covers values with binary exponent i-31: bucket index is
+// frexp(v)'s exponent clamped into [0, 63], so ~1.0 lands mid-array and the
+// range spans 2^-31 .. 2^32.
+inline constexpr std::size_t kHistogramBuckets = 64;
+
+std::size_t log_bucket_index(double value) noexcept;
+/// Upper bound of bucket i (inclusive): 2^(i-31).
+double log_bucket_upper(std::size_t index) noexcept;
+
+/// A Histogram's state at one instant, as the exporters serialize it.
+struct HistogramSnapshot {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;  ///< meaningless while count == 0
+  double max = 0.0;
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
+
+  /// Quantile estimate by linear interpolation inside the log bucket the
+  /// rank lands in, clamped to [min, max] (the bucket bounds are powers of
+  /// two, so the clamp tightens the estimate at the extremes). q outside
+  /// [0, 1] is clamped; returns 0 while count == 0.
+  double quantile(double q) const noexcept;
+  /// The tail estimate the exporters publish.
+  double p999() const noexcept { return quantile(0.999); }
+};
 
 /// Relaxed add for atomic<double> (fetch_add on double is C++20-optional).
 inline void atomic_add(std::atomic<double>& a, double delta) noexcept {

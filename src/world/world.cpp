@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/diagnostics.hpp"
-#include "obs/health.hpp"
 
 namespace mh::world {
 
@@ -361,62 +360,6 @@ World::Stats World::stats() const {
 
 void World::sample_metrics() const {
   for (const auto& pool : pools_) pool->sample_metrics(metrics_);
-}
-
-void World::enable_telemetry(obs::HealthPlane* plane,
-                             std::size_t aggregator_rank) {
-  MH_CHECK(aggregator_rank < pools_.size(), "aggregator rank out of range");
-  std::scoped_lock lock(mu_);
-  health_ = plane;
-  health_rank_ = aggregator_rank;
-  if (plane != nullptr && health_tel_ == nullptr) {
-    health_tel_ = std::make_unique<obs::ScenarioTelemetry>(pools_.size());
-  }
-}
-
-void World::telemetry_tick(double time_s) {
-  obs::HealthPlane* plane;
-  std::size_t agg;
-  Stats snap;
-  {
-    std::scoped_lock lock(mu_);
-    plane = health_;
-    agg = health_rank_;
-    snap = stats_;
-  }
-  if (plane == nullptr) return;
-  for (std::size_t r = 0; r < pools_.size(); ++r) {
-    if (!rank_alive(r)) continue;  // dead ranks cannot publish
-    health_tel_->gauge(r, "mh_rank_alive", 1.0);
-    health_tel_->gauge(r, "mh_rank_queue_depth",
-                       static_cast<double>(stealable_pending(r)));
-    health_tel_->counter(r, "mh_world_messages",
-                         m_rank_messages_[r]->value());
-    health_tel_->counter(r, "mh_world_bytes", m_rank_bytes_[r]->value());
-  }
-  if (rank_alive(0)) {
-    health_tel_->counter(0, "mh_rank_send_retries",
-                         static_cast<double>(snap.send_retries));
-    health_tel_->counter(0, "mh_steal_requests",
-                         static_cast<double>(snap.steal_requests));
-    health_tel_->counter(0, "mh_steal_grants",
-                         static_cast<double>(snap.steal_grants));
-    health_tel_->counter(0, "mh_steal_denials",
-                         static_cast<double>(snap.steal_denials));
-  }
-  // Ship the deltas in-band: each rides send() with its encoded payload,
-  // so injected send faults can drop one (a sequence gap at the
-  // aggregator), and FIFO delivery into the aggregator's pool guarantees
-  // every surviving ingest lands before the trailing evaluate message.
-  for (auto& delta : health_tel_->collect(time_s)) {
-    const std::size_t from = delta.rank;
-    if (!rank_alive(agg)) break;  // aggregator itself died: plane is blind
-    send(from, agg, delta.encoded_bytes(),
-         [plane, delta = std::move(delta)] { plane->ingest(delta); });
-  }
-  if (rank_alive(agg)) {
-    send(agg, agg, 0.0, [plane, time_s] { plane->evaluate(time_s); });
-  }
 }
 
 }  // namespace mh::world

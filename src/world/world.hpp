@@ -26,11 +26,6 @@
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 
-namespace mh::obs {
-class HealthPlane;
-class ScenarioTelemetry;
-}  // namespace mh::obs
-
 namespace mh::world {
 
 class World {
@@ -146,27 +141,6 @@ class World {
   /// world's metrics registry; wire into an obs::Sampler probe.
   void sample_metrics() const;
 
-  /// Attach a live health plane: each telemetry_tick() ships one
-  /// delta-encoded snapshot per live rank to `aggregator_rank` as an
-  /// active message over the normal send() path — in-band, so snapshots
-  /// pay wire accounting, can be dropped by injected send faults (a drop
-  /// surfaces as a sequence gap in HealthPlane::snapshots_lost()), and
-  /// land on the aggregator rank's thread in publish order. Pass nullptr
-  /// to detach. Non-owning.
-  void enable_telemetry(obs::HealthPlane* plane,
-                        std::size_t aggregator_rank = 0);
-
-  /// Publish one telemetry round stamped `time_s` (wall-clock seconds of
-  /// the caller's choosing, monotone across calls): per-rank liveness,
-  /// stealable queue depth, and delivered message/byte counters, plus
-  /// world-level send-retry and steal counters on lane 0. Dead ranks do
-  /// not publish — their lanes go stale and deterioration shows up as a
-  /// send-retry storm instead. After the per-rank deltas a final message
-  /// runs one detector tick on the aggregator's thread, so every alert
-  /// decision happens in-band too. Call from one driver thread (like
-  /// fence()); a no-op when no plane is attached.
-  void telemetry_tick(double time_s);
-
  private:
   void enqueue(std::size_t rank, std::function<void()> fn,
                const char* span_name, obs::Category cat);
@@ -205,11 +179,6 @@ class World {
     std::function<void()> work;
   };
   std::vector<std::deque<StealItem>> stealable_;
-  // Live health plane (telemetry_tick is single-driver-thread, so the
-  // publisher needs no lock; plane/rank are set before traffic starts).
-  obs::HealthPlane* health_ = nullptr;
-  std::size_t health_rank_ = 0;
-  std::unique_ptr<obs::ScenarioTelemetry> health_tel_;
 };
 
 }  // namespace mh::world

@@ -1,16 +1,20 @@
 // Tests for src/obs: span recording on both clock domains, nesting, thread
 // tracks, counters/histograms, aggregation, the Chrome trace exporter
-// (the JSON it writes must actually parse), the metrics registry, the
-// background health sampler, and the Prometheus/JSON exporters.
+// (the JSON it writes must actually parse), the strict JSON parser, the
+// metrics registry, the background sampler, and the Prometheus/JSON
+// exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -153,6 +158,61 @@ TEST(JsonChecker, SanityOnHandWrittenCases) {
   EXPECT_FALSE(JsonChecker(R"({"a":1,})").valid());
   EXPECT_FALSE(JsonChecker(R"([1,2)").valid());
   EXPECT_FALSE(JsonChecker(R"({"a":01x})").valid());
+}
+
+// ---------------------------------------------------------------------------
+// Strict parser (obs/json.hpp): the reader behind every trace file the
+// analysis tools load, so malformed input must fail with an error, never
+// crash.
+
+TEST(JsonParse, RejectsMalformedInputWithAnError) {
+  const struct {
+    const char* name;
+    std::string text;
+  } cases[] = {
+      {"not json", "not json"},
+      {"trailing data", R"({"a":1} x)"},
+      {"bare control character", std::string("\"a") + '\x01' + "b\""},
+      {"non-finite number", "1e999"},
+      {"unterminated string", R"("abc)"},
+      {"unterminated object", R"({"a":1)"},
+      {"1,000,000-deep array", std::string(1'000'000, '[')},
+  };
+  for (const auto& c : cases) {
+    json::JsonValue v;
+    std::string error;
+    EXPECT_FALSE(json::parse(c.text, &v, &error)) << c.name;
+    EXPECT_FALSE(error.empty()) << c.name;
+  }
+}
+
+TEST(JsonParse, NestingIsBoundedAtMaxDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  json::JsonValue v;
+  std::string error;
+  EXPECT_TRUE(json::parse(nested(json::kMaxDepth), &v, &error)) << error;
+  EXPECT_FALSE(json::parse(nested(json::kMaxDepth + 1), &v, &error));
+  EXPECT_NE(error.find("nesting too deep at byte "), std::string::npos)
+      << error;
+}
+
+TEST(JsonParse, WriteNumberRoundTripsBitExact) {
+  for (const double x :
+       {0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-7, 6.02214076e23, 5e-324,
+        std::nextafter(1.0, 2.0), std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min()}) {
+    std::ostringstream os;
+    json::write_number(os, x);
+    json::JsonValue v;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), &v, &error)) << os.str() << ": " << error;
+    ASSERT_EQ(v.kind, json::JsonValue::Kind::kNumber) << os.str();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.number),
+              std::bit_cast<std::uint64_t>(x))
+        << os.str();
+  }
 }
 
 // ---------------------------------------------------------------------------
